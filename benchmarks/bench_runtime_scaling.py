@@ -94,6 +94,12 @@ MIN_HEIGHT_SPEEDUP = 5.0
 #: is ~3x — the floor is generous to absorb CI noise).
 MIN_COMPILE_SPEEDUP = 2.0
 
+#: Assert per-vertex streaming time at 6,400 percolated vertices is at most
+#: this multiple of the per-vertex time at 1,600.  A streamed compile that
+#: is linear in ``n`` reads ~1.0-1.3x; rescanning the whole emitter pool
+#: after every photon reads ~3x.
+MAX_STREAM_PER_VERTEX_GROWTH = 2.0
+
 #: Assert the warm subgraph compile cache beats the cache-disabled (cold)
 #: compile by at least this factor on a repeated-leaf lattice (only at
 #: CACHE_QUBITS >= 128; the typical measurement is ~10x).
@@ -503,3 +509,40 @@ def test_streaming_compile_memory_ceiling(benchmark):
     benchmark.extra_info["stream_verified_points"] = sum(
         1 for e in entries if e["verified_against_oracle"]
     )
+
+
+def test_streaming_compile_per_vertex_time_is_flat(benchmark):
+    """Streamed compile time per vertex must not grow with the graph.
+
+    Seeded percolated streams at 1,600 and 6,400 vertices, min of three runs
+    each: per-vertex time at 6,400 may be at most
+    ``MAX_STREAM_PER_VERTEX_GROWTH`` times that at 1,600.  A pass that scans
+    the whole active emitter pool after every photon makes the compile
+    super-linear and trips this guard.  The sizes are fixed (not an
+    environment knob): the guard needs a 4x size range to see the growth.
+    """
+    from repro.core.streaming import compile_stream
+    from repro.graphs.lazy import make_stream_spec
+
+    sizes = (1600, 6400)
+
+    def per_vertex_seconds(size: int) -> float:
+        times = []
+        for _ in range(3):
+            spec = make_stream_spec("percolated", size, seed=2)
+            start = time.perf_counter()
+            compile_stream(spec)
+            times.append(time.perf_counter() - start)
+        return min(times) / spec.num_vertices
+
+    small, large = benchmark.pedantic(
+        lambda: tuple(per_vertex_seconds(n) for n in sizes), rounds=1, iterations=1
+    )
+    growth = large / small
+    print()
+    print(
+        f"stream percolated: {small * 1e6:.1f} us/vertex @ {sizes[0]}, "
+        f"{large * 1e6:.1f} us/vertex @ {sizes[1]}, growth {growth:.2f}x"
+    )
+    benchmark.extra_info["stream_per_vertex_growth"] = growth
+    assert growth <= MAX_STREAM_PER_VERTEX_GROWTH

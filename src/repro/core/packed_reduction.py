@@ -50,7 +50,198 @@ __all__ = ["PackedReductionState", "arena_auto_threshold", "make_reduction_state
 Vertex = Hashable
 
 
-class PackedReductionState:
+class BitsetEmitterPool:
+    """Emitter-pool bookkeeping shared by the two bitset reduction states.
+
+    :class:`PackedReductionState` and
+    :class:`repro.core.streaming.StreamingReductionState` keep one integer
+    adjacency row per vertex in ``self._rows``, emitter ``e`` at row
+    ``emitter_offset + e`` (photon rows and bits below it), and hand
+    finished operations to ``self._emit`` (``operations.append`` unless a
+    subclass rebinds it).  This base owns everything that only touches
+    emitter rows and the pool, with the oracle's tie-breaking.
+
+    Free pass.  Every write that activates an emitter or can empty an
+    emitter's row (acquire, absorb-leaf, absorb-dangling, disconnect)
+    records the emitter in ``self._touched``.  An active emitter's row can
+    only become empty through such a write, so :meth:`free_isolated_emitters`
+    checks ``sorted(touched & active)`` instead of the whole pool: it frees
+    the same emitters in the same ascending order as the oracle's full scan,
+    at O(emitters touched since the last pass).  Swaps only add bits to
+    emitter rows, and twin removal cannot empty one: every emitter that
+    loses the photon's bit is also adjacent to the twin.
+    """
+
+    def __init__(self, emitter_offset: int, emitter_budget: int | None, strict_budget: bool):
+        self._eoff = emitter_offset
+        self._photon_mask = (1 << emitter_offset) - 1
+        self.emitter_budget = emitter_budget
+        self.strict_budget = bool(strict_budget)
+        self.emitters_over_budget = 0
+        self.free_emitters: set[int] = set()
+        self.active_emitters: set[int] = set()
+        self.num_emitters_allocated = 0
+        self._touched: set[int] = set()
+        self.operations: list[ReductionOp] = []
+        self._emit = self.operations.append
+
+    def _eidx(self, emitter: int) -> int:
+        return self._eoff + emitter
+
+    def _ensure_row(self, emitter: int) -> None:
+        needed = self._eidx(emitter) + 1
+        if len(self._rows) < needed:
+            self._rows.extend([0] * (needed - len(self._rows)))
+
+    # ------------------------------------------------------------------ #
+    # Emitter queries
+    # ------------------------------------------------------------------ #
+
+    def emitter_degree(self, emitter: int) -> int:
+        return self._rows[self._eidx(emitter)].bit_count()
+
+    def _twin_of_row(self, row: int) -> int | None:
+        """First active emitter (ascending id) that is a non-adjacent twin of
+        the photon whose adjacency row is ``row``."""
+        rows = self._rows
+        off = self._eoff
+        if row == 0:
+            # Degenerate (never reached through the rule priority: isolated
+            # photons are emitted before the twin query): fall back to the
+            # oracle's full sweep over the active pool.
+            candidates = iter(sorted(self.active_emitters))
+        else:
+            # Any twin shares the photon's entire (non-empty) neighbourhood,
+            # so it is adjacent to the photon's first neighbour — scanning
+            # that neighbour's emitter list in ascending order visits every
+            # twin candidate with the oracle's min-id tie-breaking, at
+            # O(degree) instead of O(active pool).
+            first_neighbor = (row & -row).bit_length() - 1
+            emitter_bits = rows[first_neighbor] >> off
+            if not emitter_bits:
+                return None
+            candidates = iter_bits(emitter_bits)
+        for emitter in candidates:
+            if (row >> (off + emitter)) & 1:
+                continue
+            if rows[off + emitter] == row:
+                return emitter
+        return None
+
+    def liberation_candidate(self) -> tuple[int, int] | None:
+        """Best ``(cost, emitter)`` freeable by disconnecting it, or ``None``."""
+        off = self._eoff
+        best: tuple[int, int] | None = None
+        for emitter in sorted(self.active_emitters):
+            erow = self._rows[off + emitter]
+            if erow & self._photon_mask:
+                continue
+            cost = (erow >> off).bit_count()
+            if best is None or cost < best[0]:
+                best = (cost, emitter)
+        return best
+
+    # ------------------------------------------------------------------ #
+    # Pool management and emitter-only operations
+    # ------------------------------------------------------------------ #
+
+    def acquire_free_emitter(self, preferred: int | None = None) -> int:
+        """Return a free emitter id, allocating a new one if needed."""
+        if preferred is not None and preferred in self.free_emitters:
+            chosen = preferred
+        elif self.free_emitters:
+            chosen = min(self.free_emitters)
+        else:
+            if (
+                self.emitter_budget is not None
+                and self.num_emitters_allocated >= self.emitter_budget
+            ):
+                if self.strict_budget:
+                    raise InsufficientEmittersError(
+                        f"emitter budget of {self.emitter_budget} exhausted"
+                    )
+                self.emitters_over_budget += 1
+            chosen = self.num_emitters_allocated
+            self.num_emitters_allocated += 1
+            self._ensure_row(chosen)
+        self.free_emitters.discard(chosen)
+        self.active_emitters.add(chosen)
+        self._touched.add(chosen)
+        return chosen
+
+    def _emission_source(self, emitter: int | None) -> int:
+        """The free emitter an isolated photon is emitted from; stays free."""
+        if emitter is not None and emitter in self.free_emitters:
+            return emitter
+        if self.free_emitters:
+            return min(self.free_emitters)
+        # Allocate a pool slot but keep it free: the emitter is only used
+        # as an emission source and never becomes entangled.
+        emitter_id = self.acquire_free_emitter()
+        self.active_emitters.discard(emitter_id)
+        self.free_emitters.add(emitter_id)
+        return emitter_id
+
+    def apply_disconnect(self, emitter_a: int, emitter_b: int, tag: str = "") -> None:
+        """Remove an emitter-emitter edge (forward: one CZ gate)."""
+        idx_a, idx_b = self._eoff + emitter_a, self._eoff + emitter_b
+        if not (self._rows[idx_a] >> idx_b) & 1:
+            raise ValueError(
+                f"emitters {emitter_a} and {emitter_b} are not adjacent; nothing to disconnect"
+            )
+        self._rows[idx_a] &= ~(1 << idx_b)
+        self._rows[idx_b] &= ~(1 << idx_a)
+        self._touched.add(emitter_a)
+        self._touched.add(emitter_b)
+        self._emit(
+            ReductionOp(
+                ReductionOpType.DISCONNECT, emitter=emitter_a, emitter_b=emitter_b, tag=tag
+            )
+        )
+
+    def apply_free_emitter(self, emitter: int, tag: str = "") -> None:
+        """Release an isolated active emitter back into the free pool."""
+        if emitter not in self.active_emitters:
+            raise ValueError(f"emitter {emitter} is not active")
+        if self._rows[self._eoff + emitter]:
+            raise ValueError(f"emitter {emitter} is not isolated and cannot be freed")
+        self.active_emitters.discard(emitter)
+        self.free_emitters.add(emitter)
+        self._emit(ReductionOp(ReductionOpType.FREE_EMITTER, emitter=emitter, tag=tag))
+
+    def free_isolated_emitters(self, tag: str = "") -> list[int]:
+        """Free every active emitter that has become isolated; return their ids."""
+        rows = self._rows
+        off = self._eoff
+        freed = []
+        for emitter in sorted(self._touched & self.active_emitters):
+            if not rows[off + emitter]:
+                self.apply_free_emitter(emitter, tag=tag)
+                freed.append(emitter)
+        self._touched.clear()
+        return freed
+
+    def disconnect_all_emitter_edges(self, tag: str = "") -> int:
+        """Remove every remaining emitter-emitter edge in one sorted pass."""
+        off = self._eoff
+        pairs = [
+            (emitter, emitter + 1 + shifted)
+            for emitter in sorted(self.active_emitters)
+            for shifted in iter_bits(self._rows[off + emitter] >> (off + emitter + 1))
+        ]
+        for a, b in pairs:
+            self.apply_disconnect(a, b, tag=tag)
+        return len(pairs)
+
+    def _release_all_emitters(self, tag: str) -> None:
+        """Disconnect leftover emitter edges and free every emitter."""
+        self.disconnect_all_emitter_edges(tag=tag)
+        self.free_isolated_emitters(tag=tag)
+        if self.active_emitters:  # pragma: no cover - defensive
+            raise RuntimeError(f"emitters left active after finish: {self.active_emitters}")
+
+
+class PackedReductionState(BitsetEmitterPool):
     """Mutable reduction state over integer-packed adjacency rows.
 
     The public surface mirrors :class:`repro.core.reduction.ReductionState`
@@ -74,13 +265,10 @@ class PackedReductionState:
             or len(vertices) != target_graph.num_vertices
         ):
             raise ValueError("photon_order must be a permutation of the target vertices")
+        super().__init__(len(vertices), emitter_budget, strict_budget)
         self.photon_of_vertex: dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
         self.num_photons = len(vertices)
-        self.emitter_budget = emitter_budget
-        self.strict_budget = bool(strict_budget)
-        self.emitters_over_budget = 0
 
-        self._photon_mask = (1 << self.num_photons) - 1
         self._alive_photons = self._photon_mask
         packed = target_graph.packed_adjacency()
         if photon_order is None or packed.index == self.photon_of_vertex:
@@ -94,23 +282,6 @@ class PackedReductionState:
                 i, j = self.photon_of_vertex[u], self.photon_of_vertex[v]
                 self._rows[i] |= 1 << j
                 self._rows[j] |= 1 << i
-
-        self.free_emitters: set[int] = set()
-        self.active_emitters: set[int] = set()
-        self.num_emitters_allocated = 0
-        self.operations: list[ReductionOp] = []
-
-    # ------------------------------------------------------------------ #
-    # Index helpers
-    # ------------------------------------------------------------------ #
-
-    def _eidx(self, emitter: int) -> int:
-        return self.num_photons + emitter
-
-    def _ensure_row(self, emitter: int) -> None:
-        needed = self._eidx(emitter) + 1
-        if len(self._rows) < needed:
-            self._rows.extend([0] * (needed - len(self._rows)))
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -140,9 +311,6 @@ class PackedReductionState:
             set(iter_bits(row & self._photon_mask)),
             set(iter_bits(row >> self.num_photons)),
         )
-
-    def emitter_degree(self, emitter: int) -> int:
-        return self._rows[self._eidx(emitter)].bit_count()
 
     def photon_degree(self, photon: int) -> int:
         return self._rows[photon].bit_count()
@@ -178,14 +346,7 @@ class PackedReductionState:
 
     def find_twin_emitter(self, photon: int) -> int | None:
         """First active emitter (ascending id) that is a non-adjacent twin."""
-        row = self._rows[photon]
-        n = self.num_photons
-        for emitter in sorted(self.active_emitters):
-            if (row >> (n + emitter)) & 1:
-                continue
-            if self._rows[n + emitter] == row:
-                return emitter
-        return None
+        return self._twin_of_row(self._rows[photon])
 
     def disconnect_absorb_candidate(self, photon: int) -> tuple[int, int] | None:
         """Best ``(cost, emitter)`` for the disconnect-absorb move, or ``None``."""
@@ -200,49 +361,6 @@ class PackedReductionState:
             if best is None or cost < best[0]:
                 best = (cost, e)
         return best
-
-    def liberation_candidate(self) -> tuple[int, int] | None:
-        """Best ``(cost, emitter)`` freeable by disconnecting it, or ``None``."""
-        n = self.num_photons
-        best: tuple[int, int] | None = None
-        for emitter in sorted(self.active_emitters):
-            erow = self._rows[n + emitter]
-            if erow & self._photon_mask:
-                continue
-            cost = (erow >> n).bit_count()
-            if best is None or cost < best[0]:
-                best = (cost, emitter)
-        return best
-
-    # ------------------------------------------------------------------ #
-    # Emitter pool management (identical semantics to the oracle)
-    # ------------------------------------------------------------------ #
-
-    def acquire_free_emitter(self, preferred: int | None = None) -> int:
-        """Return a free emitter id, allocating a new one if needed."""
-        if preferred is not None and preferred in self.free_emitters:
-            self.free_emitters.discard(preferred)
-            self.active_emitters.add(preferred)
-            return preferred
-        if self.free_emitters:
-            chosen = min(self.free_emitters)
-            self.free_emitters.discard(chosen)
-            self.active_emitters.add(chosen)
-            return chosen
-        if (
-            self.emitter_budget is not None
-            and self.num_emitters_allocated >= self.emitter_budget
-        ):
-            if self.strict_budget:
-                raise InsufficientEmittersError(
-                    f"emitter budget of {self.emitter_budget} exhausted"
-                )
-            self.emitters_over_budget += 1
-        new_id = self.num_emitters_allocated
-        self.num_emitters_allocated += 1
-        self.active_emitters.add(new_id)
-        self._ensure_row(new_id)
-        return new_id
 
     # ------------------------------------------------------------------ #
     # Row update helpers
@@ -294,6 +412,7 @@ class PackedReductionState:
         self._rows[eidx] &= ~(1 << photon)
         self._rows[photon] = 0
         self._alive_photons &= ~(1 << photon)
+        self._touched.add(emitter)
         self.operations.append(
             ReductionOp(ReductionOpType.ABSORB_LEAF, emitter=emitter, photon=photon, tag=tag)
         )
@@ -316,6 +435,7 @@ class PackedReductionState:
             self._rows[j] = (self._rows[j] & ~photon_bit) | emitter_bit
         self._rows[photon] = 0
         self._alive_photons &= ~photon_bit
+        self._touched.add(emitter)
         self.operations.append(
             ReductionOp(
                 ReductionOpType.ABSORB_DANGLING, emitter=emitter, photon=photon, tag=tag
@@ -343,37 +463,13 @@ class PackedReductionState:
             ReductionOp(ReductionOpType.ABSORB_TWIN, emitter=emitter, photon=photon, tag=tag)
         )
 
-    def apply_disconnect(self, emitter_a: int, emitter_b: int, tag: str = "") -> None:
-        """Remove an emitter-emitter edge (forward: one CZ gate)."""
-        idx_a, idx_b = self._eidx(emitter_a), self._eidx(emitter_b)
-        if not (self._rows[idx_a] >> idx_b) & 1:
-            raise ValueError(
-                f"emitters {emitter_a} and {emitter_b} are not adjacent; nothing to disconnect"
-            )
-        self._rows[idx_a] &= ~(1 << idx_b)
-        self._rows[idx_b] &= ~(1 << idx_a)
-        self.operations.append(
-            ReductionOp(
-                ReductionOpType.DISCONNECT, emitter=emitter_a, emitter_b=emitter_b, tag=tag
-            )
-        )
-
     def apply_emit_isolated(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
         """Remove an isolated photon (forward: emit an unentangled photon)."""
         if not self.photon_in_graph(photon):
             raise ValueError(f"photon {photon} is not in the working graph")
         if self._rows[photon]:
             raise ValueError(f"photon {photon} is not isolated")
-        if emitter is not None and emitter in self.free_emitters:
-            emitter_id = emitter
-        elif self.free_emitters:
-            emitter_id = min(self.free_emitters)
-        else:
-            # Allocate a pool slot but keep it free: the emitter is only used
-            # as an emission source and never becomes entangled.
-            emitter_id = self.acquire_free_emitter()
-            self.active_emitters.discard(emitter_id)
-            self.free_emitters.add(emitter_id)
+        emitter_id = self._emission_source(emitter)
         self._alive_photons &= ~(1 << photon)
         self.operations.append(
             ReductionOp(
@@ -382,42 +478,9 @@ class PackedReductionState:
         )
         return emitter_id
 
-    def apply_free_emitter(self, emitter: int, tag: str = "") -> None:
-        """Release an isolated active emitter back into the free pool."""
-        if emitter not in self.active_emitters:
-            raise ValueError(f"emitter {emitter} is not active")
-        if self._rows[self._eidx(emitter)]:
-            raise ValueError(f"emitter {emitter} is not isolated and cannot be freed")
-        self.active_emitters.discard(emitter)
-        self.free_emitters.add(emitter)
-        self.operations.append(
-            ReductionOp(ReductionOpType.FREE_EMITTER, emitter=emitter, tag=tag)
-        )
-
-    def free_isolated_emitters(self, tag: str = "") -> list[int]:
-        """Free every active emitter that has become isolated; return their ids."""
-        freed = []
-        for emitter in sorted(self.active_emitters):
-            if not self._rows[self._eidx(emitter)]:
-                self.apply_free_emitter(emitter, tag=tag)
-                freed.append(emitter)
-        return freed
-
     # ------------------------------------------------------------------ #
     # Finishing
     # ------------------------------------------------------------------ #
-
-    def disconnect_all_emitter_edges(self, tag: str = "") -> int:
-        """Remove every remaining emitter-emitter edge in one sorted pass."""
-        n = self.num_photons
-        pairs = [
-            (emitter, emitter + 1 + shifted)
-            for emitter in sorted(self.active_emitters)
-            for shifted in iter_bits(self._rows[n + emitter] >> (n + emitter + 1))
-        ]
-        for a, b in pairs:
-            self.apply_disconnect(a, b, tag=tag)
-        return len(pairs)
 
     def finish(self, tag: str = "") -> ReductionSequence:
         """Disconnect leftover emitter edges, free emitters, return the sequence."""
@@ -426,10 +489,7 @@ class PackedReductionState:
                 "cannot finish the reduction: photons remain in the working graph "
                 f"({self.remaining_photons()})"
             )
-        self.disconnect_all_emitter_edges(tag=tag)
-        self.free_isolated_emitters(tag=tag)
-        if self.active_emitters:  # pragma: no cover - defensive
-            raise RuntimeError(f"emitters left active after finish: {self.active_emitters}")
+        self._release_all_emitters(tag)
         return ReductionSequence(
             operations=list(self.operations),
             num_photons=self.num_photons,

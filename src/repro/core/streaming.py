@@ -36,11 +36,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.reduction import (
-    InsufficientEmittersError,
-    ReductionOp,
-    ReductionOpType,
-)
+from repro.core.packed_reduction import BitsetEmitterPool
+from repro.core.reduction import ReductionOp, ReductionOpType
 from repro.core.strategies import GreedyReductionStrategy, reduce_photon
 from repro.utils.misc import iter_bits
 
@@ -49,7 +46,7 @@ __all__ = ["StreamCompileResult", "StreamingReductionState", "compile_stream"]
 OpSink = Callable[[ReductionOp], None]
 
 
-class StreamingReductionState:
+class StreamingReductionState(BitsetEmitterPool):
     """Windowed reduction state: bounded slots, global photon ids, op sink.
 
     Photons are *admitted* into one of ``window_capacity`` slots (bit ``s``
@@ -62,7 +59,9 @@ class StreamingReductionState:
     whole-graph reduction over the same processing order.
 
     Operations go to ``op_sink`` when given (constant memory); otherwise they
-    accumulate in ``self.operations`` for the small-size oracle tests.
+    accumulate in ``self.operations`` for the small-size oracle tests.  The
+    emitter pool, emitter-only operations and the free pass come from
+    :class:`~repro.core.packed_reduction.BitsetEmitterPool`.
     """
 
     def __init__(
@@ -75,7 +74,7 @@ class StreamingReductionState:
         if window_capacity < 1:
             raise ValueError(f"window_capacity must be >= 1, got {window_capacity}")
         self._cap = int(window_capacity)
-        self._photon_mask = (1 << self._cap) - 1
+        super().__init__(self._cap, emitter_budget, strict_budget)
         self._rows: list[int] = [0] * self._cap
         self._slot_of: dict[int, int] = {}
         self._global_of: list[int | None] = [None] * self._cap
@@ -83,16 +82,8 @@ class StreamingReductionState:
         self.peak_window_photons = 0
         self.photons_admitted = 0
         self.photons_reduced = 0
-
-        self.emitter_budget = emitter_budget
-        self.strict_budget = bool(strict_budget)
-        self.emitters_over_budget = 0
-        self.free_emitters: set[int] = set()
-        self.active_emitters: set[int] = set()
-        self.num_emitters_allocated = 0
-
-        self._op_sink = op_sink
-        self.operations: list[ReductionOp] = []
+        if op_sink is not None:
+            self._emit = op_sink
 
     # ------------------------------------------------------------------ #
     # Window management
@@ -140,24 +131,6 @@ class StreamingReductionState:
         self._free_slots.append(slot)
         self.photons_reduced += 1
 
-    def _emit(self, op: ReductionOp) -> None:
-        if self._op_sink is not None:
-            self._op_sink(op)
-        else:
-            self.operations.append(op)
-
-    # ------------------------------------------------------------------ #
-    # Index helpers
-    # ------------------------------------------------------------------ #
-
-    def _eidx(self, emitter: int) -> int:
-        return self._cap + emitter
-
-    def _ensure_row(self, emitter: int) -> None:
-        needed = self._eidx(emitter) + 1
-        if len(self._rows) < needed:
-            self._rows.extend([0] * (needed - len(self._rows)))
-
     # ------------------------------------------------------------------ #
     # Rule-query protocol (identical tie-breaking to the oracle)
     # ------------------------------------------------------------------ #
@@ -184,9 +157,6 @@ class StreamingReductionState:
             set(iter_bits(row >> self._cap)),
         )
 
-    def emitter_degree(self, emitter: int) -> int:
-        return self._rows[self._eidx(emitter)].bit_count()
-
     def photon_neighbor_counts(self, photon: int) -> tuple[int, int]:
         row = self._rows[self._slot_of[photon]]
         return (row & self._photon_mask).bit_count(), (row >> self._cap).bit_count()
@@ -205,28 +175,7 @@ class StreamingReductionState:
         return bit - self._cap if bit >= self._cap else None
 
     def find_twin_emitter(self, photon: int) -> int | None:
-        rows = self._rows
-        cap = self._cap
-        row = rows[self._slot_of[photon]]
-        if row == 0:
-            # Degenerate (never reached through the rule priority: isolated
-            # photons are emitted before the twin query): fall back to the
-            # oracle's full sweep over the active pool.
-            candidates = iter(sorted(self.active_emitters))
-        else:
-            # Any twin shares the photon's entire (non-empty) neighbourhood,
-            # so it is adjacent to the photon's first neighbour — scanning
-            # that neighbour's emitter list in ascending order visits every
-            # twin candidate with the oracle's min-id tie-breaking, at
-            # O(degree) instead of O(active pool).
-            first_neighbor = (row & -row).bit_length() - 1
-            candidates = iter_bits(rows[first_neighbor] >> cap)
-        for emitter in candidates:
-            if (row >> (cap + emitter)) & 1:
-                continue
-            if rows[cap + emitter] == row:
-                return emitter
-        return None
+        return self._twin_of_row(self._rows[self._slot_of[photon]])
 
     def disconnect_absorb_candidate(self, photon: int) -> tuple[int, int] | None:
         slot = self._slot_of[photon]
@@ -240,46 +189,6 @@ class StreamingReductionState:
             if best is None or cost < best[0]:
                 best = (cost, e)
         return best
-
-    def liberation_candidate(self) -> tuple[int, int] | None:
-        best: tuple[int, int] | None = None
-        for emitter in sorted(self.active_emitters):
-            erow = self._rows[self._eidx(emitter)]
-            if erow & self._photon_mask:
-                continue
-            cost = (erow >> self._cap).bit_count()
-            if best is None or cost < best[0]:
-                best = (cost, emitter)
-        return best
-
-    # ------------------------------------------------------------------ #
-    # Emitter pool management (identical semantics to the oracle)
-    # ------------------------------------------------------------------ #
-
-    def acquire_free_emitter(self, preferred: int | None = None) -> int:
-        if preferred is not None and preferred in self.free_emitters:
-            self.free_emitters.discard(preferred)
-            self.active_emitters.add(preferred)
-            return preferred
-        if self.free_emitters:
-            chosen = min(self.free_emitters)
-            self.free_emitters.discard(chosen)
-            self.active_emitters.add(chosen)
-            return chosen
-        if (
-            self.emitter_budget is not None
-            and self.num_emitters_allocated >= self.emitter_budget
-        ):
-            if self.strict_budget:
-                raise InsufficientEmittersError(
-                    f"emitter budget of {self.emitter_budget} exhausted"
-                )
-            self.emitters_over_budget += 1
-        new_id = self.num_emitters_allocated
-        self.num_emitters_allocated += 1
-        self.active_emitters.add(new_id)
-        self._ensure_row(new_id)
-        return new_id
 
     # ------------------------------------------------------------------ #
     # Reversed operations (slot-space rows, global-id operations)
@@ -318,6 +227,7 @@ class StreamingReductionState:
         self._rows[eidx] &= ~(1 << slot)
         self._rows[slot] = 0
         self._release(photon)
+        self._touched.add(emitter)
         self._emit(
             ReductionOp(ReductionOpType.ABSORB_LEAF, emitter=emitter, photon=photon, tag=tag)
         )
@@ -340,6 +250,7 @@ class StreamingReductionState:
             self._rows[j] = (self._rows[j] & ~slot_bit) | emitter_bit
         self._rows[slot] = 0
         self._release(photon)
+        self._touched.add(emitter)
         self._emit(
             ReductionOp(
                 ReductionOpType.ABSORB_DANGLING, emitter=emitter, photon=photon, tag=tag
@@ -370,35 +281,12 @@ class StreamingReductionState:
             ReductionOp(ReductionOpType.ABSORB_TWIN, emitter=emitter, photon=photon, tag=tag)
         )
 
-    def apply_disconnect(self, emitter_a: int, emitter_b: int, tag: str = "") -> None:
-        idx_a, idx_b = self._eidx(emitter_a), self._eidx(emitter_b)
-        if not (self._rows[idx_a] >> idx_b) & 1:
-            raise ValueError(
-                f"emitters {emitter_a} and {emitter_b} are not adjacent; nothing to disconnect"
-            )
-        self._rows[idx_a] &= ~(1 << idx_b)
-        self._rows[idx_b] &= ~(1 << idx_a)
-        self._emit(
-            ReductionOp(
-                ReductionOpType.DISCONNECT, emitter=emitter_a, emitter_b=emitter_b, tag=tag
-            )
-        )
-
     def apply_emit_isolated(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
         if photon not in self._slot_of:
             raise ValueError(f"photon {photon} is not in the working graph")
         if self._rows[self._slot_of[photon]]:
             raise ValueError(f"photon {photon} is not isolated")
-        if emitter is not None and emitter in self.free_emitters:
-            emitter_id = emitter
-        elif self.free_emitters:
-            emitter_id = min(self.free_emitters)
-        else:
-            # Allocate a pool slot but keep it free: the emitter is only used
-            # as an emission source and never becomes entangled.
-            emitter_id = self.acquire_free_emitter()
-            self.active_emitters.discard(emitter_id)
-            self.free_emitters.add(emitter_id)
+        emitter_id = self._emission_source(emitter)
         self._release(photon)
         self._emit(
             ReductionOp(
@@ -407,37 +295,9 @@ class StreamingReductionState:
         )
         return emitter_id
 
-    def apply_free_emitter(self, emitter: int, tag: str = "") -> None:
-        if emitter not in self.active_emitters:
-            raise ValueError(f"emitter {emitter} is not active")
-        if self._rows[self._eidx(emitter)]:
-            raise ValueError(f"emitter {emitter} is not isolated and cannot be freed")
-        self.active_emitters.discard(emitter)
-        self.free_emitters.add(emitter)
-        self._emit(ReductionOp(ReductionOpType.FREE_EMITTER, emitter=emitter, tag=tag))
-
-    def free_isolated_emitters(self, tag: str = "") -> list[int]:
-        rows = self._rows
-        cap = self._cap
-        freed = [e for e in sorted(self.active_emitters) if not rows[cap + e]]
-        for emitter in freed:
-            self.apply_free_emitter(emitter, tag=tag)
-        return freed
-
     # ------------------------------------------------------------------ #
     # Finishing
     # ------------------------------------------------------------------ #
-
-    def disconnect_all_emitter_edges(self, tag: str = "") -> int:
-        cap = self._cap
-        pairs = [
-            (emitter, emitter + 1 + shifted)
-            for emitter in sorted(self.active_emitters)
-            for shifted in iter_bits(self._rows[cap + emitter] >> (cap + emitter + 1))
-        ]
-        for a, b in pairs:
-            self.apply_disconnect(a, b, tag=tag)
-        return len(pairs)
 
     def finish(self, tag: str = "") -> None:
         """Disconnect leftover emitter edges and free every emitter."""
@@ -446,10 +306,7 @@ class StreamingReductionState:
                 "cannot finish the streaming reduction: photons remain in the "
                 f"window ({sorted(self._slot_of)[:8]}...)"
             )
-        self.disconnect_all_emitter_edges(tag=tag)
-        self.free_isolated_emitters(tag=tag)
-        if self.active_emitters:  # pragma: no cover - defensive
-            raise RuntimeError(f"emitters left active after finish: {self.active_emitters}")
+        self._release_all_emitters(tag)
 
 
 @dataclass
@@ -524,17 +381,13 @@ def compile_stream(
         strategy = GreedyReductionStrategy()
     started = time.perf_counter()
 
-    op_counts: dict[str, int] = {}
-    tallies = {"total": 0, "emissions": 0, "ee_gates": 0}
+    # Count by op type only; the histogram and the emission / emitter-emitter
+    # tallies are derived once after the stream ends.
+    counts = dict.fromkeys(ReductionOpType, 0)
     collected: list[ReductionOp] | None = [] if collect_operations else None
 
     def sink(op: ReductionOp) -> None:
-        op_counts[op.op_type.name] = op_counts.get(op.op_type.name, 0) + 1
-        tallies["total"] += 1
-        if op.is_emission:
-            tallies["emissions"] += 1
-        if op.is_emitter_emitter_gate:
-            tallies["ee_gates"] += 1
+        counts[op.op_type] += 1
         if collected is not None:
             collected.append(op)
 
@@ -567,6 +420,7 @@ def compile_stream(
     reduce_region(spec.region(0))
     reduce_region(pinned)
     state.finish(tag=tag)
+    seen = {op_type: count for op_type, count in counts.items() if count}
 
     return StreamCompileResult(
         family=spec.family,
@@ -577,10 +431,10 @@ def compile_stream(
         peak_window_photons=state.peak_window_photons,
         num_emitters=max(state.num_emitters_allocated, 1),
         emitters_over_budget=state.emitters_over_budget,
-        num_operations=tallies["total"],
-        num_emissions=tallies["emissions"],
-        num_emitter_emitter_gates=tallies["ee_gates"],
-        op_counts=dict(sorted(op_counts.items())),
+        num_operations=sum(seen.values()),
+        num_emissions=sum(c for t, c in seen.items() if ReductionOp(t).is_emission),
+        num_emitter_emitter_gates=counts[ReductionOpType.DISCONNECT],
+        op_counts=dict(sorted((op_type.name, count) for op_type, count in seen.items())),
         elapsed_seconds=time.perf_counter() - started,
         operations=collected,
     )

@@ -22,10 +22,13 @@ on:
   :func:`arena_auto_threshold` columns).
 
 The process-wide default is ``"packed"`` and can be pinned with the
-``REPRO_GF2_BACKEND`` environment variable, :func:`set_default_backend`, or
-temporarily with the :func:`use_backend` context manager.  Every public
-function that consumes a backend also accepts an explicit ``backend=``
-argument which takes precedence over the default.  The environment variable
+``REPRO_GF2_BACKEND`` environment variable or :func:`set_default_backend`.
+The :func:`use_backend` context manager overrides it temporarily for the
+current thread or asyncio task only (the override lives in a
+:class:`contextvars.ContextVar`), so concurrent compiles on different
+threads cannot leak their backend into each other or into the process
+default.  Every public function that consumes a backend also accepts an
+explicit ``backend=`` argument which takes precedence over the default.  The environment variable
 is validated lazily, at the first resolve, so importing this module never
 emits warnings on its own.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
 __all__ = [
@@ -91,6 +95,9 @@ _UNRESOLVED = object()
 
 _default_backend: str | object = _UNRESOLVED
 
+#: Per-thread / per-task override installed by :func:`use_backend`.
+_override: ContextVar[str | None] = ContextVar("repro_gf2_backend", default=None)
+
 
 def _backend_from_env() -> str:
     """Read ``REPRO_GF2_BACKEND`` once, warning on unrecognised values."""
@@ -111,26 +118,33 @@ def _backend_from_env() -> str:
     return value
 
 
-def _current_default() -> str:
+def _process_default() -> str:
     global _default_backend
     if _default_backend is _UNRESOLVED:
         _default_backend = _backend_from_env()
     return _default_backend  # type: ignore[return-value]
 
 
+def _current_default() -> str:
+    return _override.get() or _process_default()
+
+
 def get_default_backend() -> str:
-    """Return the process-wide default backend name."""
+    """Return the backend in effect: the :func:`use_backend` override of the
+    current thread or task, else the process-wide default."""
     return _current_default()
 
 
 def set_default_backend(backend: str) -> str:
     """Set the process-wide default backend; returns the previous default.
 
+    An active :func:`use_backend` override still wins inside its block.
+
     Raises:
         ValueError: if ``backend`` is not a recognised backend name.
     """
     global _default_backend
-    previous = _current_default()
+    previous = _process_default()
     _default_backend = resolve_backend(backend)
     return previous
 
@@ -153,8 +167,10 @@ def resolve_backend(backend: str | None) -> str:
 
 @contextmanager
 def use_backend(backend: str | None) -> Iterator[str]:
-    """Temporarily switch the default backend within a ``with`` block.
+    """Override the default backend within a ``with`` block.
 
+    The override is visible only to the current thread or asyncio task (and
+    to contexts copied from it); the process-wide default is untouched.
     ``None`` keeps the current default (the context manager is then a no-op),
     which lets callers write ``with use_backend(config.gf2_backend): ...``
     without special-casing unset configuration.
@@ -162,8 +178,8 @@ def use_backend(backend: str | None) -> Iterator[str]:
     if backend is None:
         yield _current_default()
         return
-    previous = set_default_backend(backend)
+    token = _override.set(resolve_backend(backend))
     try:
         yield _current_default()
     finally:
-        set_default_backend(previous)
+        _override.reset(token)

@@ -1,0 +1,162 @@
+"""Differential test of the touched-set free pass of the bitset states.
+
+:class:`~repro.core.packed_reduction.PackedReductionState` and
+:class:`~repro.core.streaming.StreamingReductionState` free isolated
+emitters by checking only the emitters touched since the last pass, not the
+whole active pool.  This file drives both states and the dense
+:class:`~repro.core.reduction.ReductionState` oracle photon by photon over
+large graphs (so the active pool is large) under the strategies that stress
+that bookkeeping:
+
+* ``free_isolated_eagerly=False`` — the touched set accumulates across the
+  whole reduction and is drained only by :meth:`finish`;
+* ``prefer_disconnect_over_allocate=True`` — liberation frees emitters
+  outside the free pass;
+* a tight non-strict ``emitter_budget`` — drives the liberation path and
+  over-budget allocation.
+
+The three op sequences must be equal, and after every eager free pass no
+active emitter of a bitset state may have an empty row.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.packed_reduction import PackedReductionState
+from repro.core.reduction import ReductionOpType, ReductionState
+from repro.core.strategies import GreedyReductionStrategy, reduce_photon
+from repro.core.streaming import StreamingReductionState
+from repro.graphs.graph_state import GraphState
+from repro.pipeline.jobs import GraphSpec
+
+#: Zoo and random families with their sizes; every graph has >= 150 vertices.
+LARGE_GRAPHS = (
+    ("regular", 151),
+    ("smallworld", 151),
+    ("erdos", 151),
+    ("percolated", 160),
+    ("ghz", 151),
+    ("surface", 11),
+    ("random", 160),
+)
+
+
+def make_strategy(kind: str, budget: int) -> GreedyReductionStrategy:
+    if kind == "lazy_free":
+        return GreedyReductionStrategy(free_isolated_eagerly=False)
+    if kind == "prefer_disconnect":
+        return GreedyReductionStrategy(prefer_disconnect_over_allocate=True)
+    return GreedyReductionStrategy(emitter_budget=budget, strict_budget=False)
+
+
+def streaming_state(graph, strategy) -> StreamingReductionState:
+    """A window holding the whole graph, photons named by vertex index."""
+    index = {v: i for i, v in enumerate(graph.vertices())}
+    state = StreamingReductionState(
+        graph.num_vertices,
+        emitter_budget=strategy.emitter_budget,
+        strict_budget=strategy.strict_budget,
+    )
+    for photon in range(graph.num_vertices):
+        state.admit_photon(photon)
+    for u, v in graph.edges():
+        state.add_edge(index[u], index[v])
+    return state
+
+
+def drive(state, order, strategy, check_pool: bool):
+    for photon in order:
+        reduce_photon(state, photon, strategy)
+        if strategy.free_isolated_eagerly:
+            state.free_isolated_emitters()
+            if check_pool:
+                idle = [e for e in state.active_emitters if state.emitter_degree(e) == 0]
+                assert not idle, f"active emitters with empty rows after a free pass: {idle}"
+    state.finish()
+    return state
+
+
+@given(
+    graph_choice=st.sampled_from(LARGE_GRAPHS),
+    kind=st.sampled_from(("lazy_free", "prefer_disconnect", "tight_budget")),
+    budget=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=30, deadline=None)
+def test_bitset_states_match_oracle_on_large_graphs(graph_choice, kind, budget, seed):
+    family, size = graph_choice
+    graph = GraphSpec(family=family, size=size, seed=seed).build()
+    assert graph.num_vertices >= 150
+    strategy = make_strategy(kind, budget)
+    order = list(range(graph.num_vertices))
+    np.random.default_rng(seed).shuffle(order)
+
+    kwargs = dict(emitter_budget=strategy.emitter_budget, strict_budget=strategy.strict_budget)
+    dense = drive(ReductionState(graph, **kwargs), order, strategy, check_pool=False)
+    packed = drive(PackedReductionState(graph, **kwargs), order, strategy, check_pool=True)
+    streamed = drive(streaming_state(graph, strategy), order, strategy, check_pool=True)
+
+    assert packed.operations == dense.operations
+    assert streamed.operations == dense.operations
+    for state in (packed, streamed):
+        assert state.num_emitters_allocated == dense.num_emitters_allocated
+        assert state.emitters_over_budget == dense.emitters_over_budget
+        assert not state.active_emitters
+
+
+def test_lazy_free_pass_sees_every_emitter_touched_since_the_start():
+    """Without eager passes the touched set spans the whole reduction, so the
+    single pass in ``finish`` still frees every emitter the oracle frees."""
+    graph = GraphSpec(family="regular", size=151, seed=7).build()
+    strategy = make_strategy("lazy_free", 0)
+    order = list(reversed(range(graph.num_vertices)))
+    dense = drive(ReductionState(graph), order, strategy, check_pool=False)
+    packed = drive(PackedReductionState(graph), order, strategy, check_pool=False)
+    frees = [op for op in dense.operations if op.op_type is ReductionOpType.FREE_EMITTER]
+    assert len(frees) == dense.num_emitters_allocated > 100
+    assert packed.operations == dense.operations
+
+
+#: Scripted op sequences, each ending in a write that empties an emitter's
+#: row after an earlier free pass already drained the touched set; the next
+#: pass must free exactly what the oracle's full scan frees.  ``"free"``
+#: steps run a free pass; other steps are ``(method, *args)``.
+SCRIPTS = {
+    "acquire": (1, [], ["free", ("apply_swap", 0), "free"]),
+    "absorb_leaf": (
+        2, [(0, 1)], [("apply_swap", 0), "free", ("apply_absorb_leaf", 0, 1), "free"]
+    ),
+    "absorb_dangling": (
+        2, [(0, 1)], [("apply_swap", 0), "free", ("apply_absorb_dangling", 0, 1), "free"]
+    ),
+    "disconnect": (
+        2,
+        [(0, 1)],
+        [("apply_swap", 0), ("apply_swap", 1), "free", ("apply_disconnect", 0, 1), "free"],
+    ),
+}
+
+
+@pytest.mark.parametrize("write", sorted(SCRIPTS))
+def test_each_recorded_write_is_seen_by_the_next_pass(write):
+    num_vertices, edges, steps = SCRIPTS[write]
+    graph = GraphState(vertices=range(num_vertices), edges=edges)
+
+    def replay(state):
+        freed = []
+        for step in steps:
+            if step == "free":
+                freed.append(state.free_isolated_emitters())
+            else:
+                getattr(state, step[0])(*step[1:])
+        return freed, state.operations
+
+    strategy = GreedyReductionStrategy()
+    expected = replay(ReductionState(graph))
+    assert expected[0][-1], "the script must end in a pass that frees something"
+    assert replay(PackedReductionState(graph)) == expected
+    assert replay(streaming_state(graph, strategy)) == expected

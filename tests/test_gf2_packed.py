@@ -10,6 +10,8 @@ outcomes, canonical matrices — must be identical.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,43 @@ class TestBackendRegistry:
         try:
             assert set_default_backend("dense") == before
             assert get_default_backend() == "dense"
+        finally:
+            set_default_backend(before)
+
+    def test_use_backend_is_per_thread(self):
+        """Interleave A enters X, B enters Y, A exits, B exits on two threads.
+
+        A process-global save/restore leaves X as the process default after
+        this schedule, and shows A the backend B entered; a per-thread
+        override leaves the default alone and each thread sees its own.
+        """
+        before = get_default_backend()
+        other = "dense" if before != "dense" else "packed"
+        a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))
+        seen: dict[str, str] = {}
+
+        def thread_a():
+            with use_backend(other):
+                a_entered.set()
+                b_entered.wait(5)
+                seen["a"] = get_default_backend()
+            a_exited.set()
+
+        def thread_b():
+            a_entered.wait(5)
+            with use_backend(before):
+                b_entered.set()
+                a_exited.wait(5)
+                seen["b"] = get_default_backend()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+            assert seen == {"a": other, "b": before}
+            assert get_default_backend() == before
         finally:
             set_default_backend(before)
 
