@@ -32,10 +32,6 @@ Environment knobs (used by the CI smoke job to keep runtimes tiny):
 * ``REPRO_BENCH_PORTFOLIO_DEADLINES_MS`` — comma-separated deadline grid for
   the anytime-portfolio case (default ``50,500,5000``; the monotone-quality
   and zero-miss-at-the-top assertions always apply);
-* ``REPRO_BENCH_ARENA_SIZES`` — comma-separated matrix widths for the
-  arena-vs-packed kernel case (default ``64,128,256,512``; bit-identity
-  assertions always apply, the arena-wins-at-512 floor only when 512 is in
-  the grid);
 * ``REPRO_BENCH_STREAM_SIZES`` — comma-separated vertex counts for the
   streaming-compile case (default ``4096,16384``; sizes <= 2500 are also
   verified op-for-op against the whole-graph compile);
@@ -76,7 +72,6 @@ PORTFOLIO_DEADLINES_MS = tuple(
     float(d)
     for d in _env_sizes("REPRO_BENCH_PORTFOLIO_DEADLINES_MS", (50, 500, 5000))
 )
-ARENA_SIZES = _env_sizes("REPRO_BENCH_ARENA_SIZES", (64, 128, 256, 512))
 STREAM_SIZES = _env_sizes("REPRO_BENCH_STREAM_SIZES", (4096, 16384))
 STREAM_MEM_MB = float(os.environ.get("REPRO_BENCH_STREAM_MEM_MB", "64"))
 
@@ -417,53 +412,6 @@ def test_portfolio_anytime_quality(benchmark):
             f"({top['deadline_ms']:g} ms, took {top['seconds_elapsed']:.3f}s)"
         )
     benchmark.extra_info["portfolio_families"] = [row["family"] for row in rows]
-
-
-# --------------------------------------------------------------------------- #
-# Arena vs packed GF(2) bulk kernels
-# --------------------------------------------------------------------------- #
-
-
-def test_arena_kernel_equivalence_and_crossover(benchmark):
-    """Arena word-array kernels vs the packed big-int kernels.
-
-    ``run_arena_bench`` asserts bit-identity internally (rref matrices and
-    pivots, reduction op sequences, forward circuits, CutRankEngine height
-    profiles) before timing anything, so just reaching the assertions below
-    already proves equivalence.  When 512 is in the swept grid the arena
-    rref must beat packed there — the bulk-elimination win the
-    auto-selection threshold (128 columns) is calibrated against.
-    """
-    from repro.evaluation.perf import run_arena_bench
-
-    reduce_size = min(128, max(ARENA_SIZES))
-
-    def measure():
-        return run_arena_bench(sizes=ARENA_SIZES, reduce_size=reduce_size)
-
-    record = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    for entry in record["kernel_results"]:
-        print(
-            f"gf2 rref @ {entry['size']} cols: "
-            f"packed {entry['packed_rref_median_seconds'] * 1e3:.2f} ms, "
-            f"arena {entry['arena_rref_median_seconds'] * 1e3:.2f} ms, "
-            f"speedup {entry['rref_speedup']:.2f}x"
-        )
-    print(
-        f"crossover {record['crossover_size']} "
-        f"(default threshold {record['default_threshold']})"
-    )
-    assert record["circuits_bit_identical"]
-    assert len(record["kernel_results"]) == len(ARENA_SIZES)
-    benchmark.extra_info["arena_crossover_size"] = record["crossover_size"]
-    if 512 in ARENA_SIZES:
-        at_512 = next(e for e in record["kernel_results"] if e["size"] == 512)
-        assert at_512["rref_speedup"] > 1.0, (
-            f"arena rref no longer wins at 512 cols "
-            f"({at_512['rref_speedup']:.2f}x)"
-        )
-        benchmark.extra_info["arena_rref_speedup_512"] = at_512["rref_speedup"]
 
 
 # --------------------------------------------------------------------------- #

@@ -15,12 +15,10 @@ Quickstart::
     base = BaselineCompiler().compile(graph)
     print(ours.num_emitter_emitter_cnots, "vs", base.metrics.num_emitter_emitter_cnots)
 
-All GF(2)/stabilizer kernels run on a word-packed fast path by default; the
-original dense implementation is kept as a bit-exact oracle, and a third
-``arena`` backend (preallocated ``np.uint64`` word arenas with vectorised
-batched elimination) takes over bulk Gauss--Jordan from the measured
-crossover width. Each is selectable per call (``backend="dense"``), per
-compilation (``CompilerConfig(gf2_backend=...)``), or process-wide::
+All GF(2)/stabilizer kernels run on a word-packed ``np.uint64`` fast path by
+default; the original dense implementation is kept as a bit-exact oracle and
+selectable per call (``backend="dense"``), per compilation
+(``CompilerConfig(gf2_backend=...)``), or process-wide::
 
     from repro import set_default_backend, use_backend
 
@@ -75,9 +73,8 @@ Public API highlights:
   runner, content-hash cache) behind the sweeps and ``repro batch``.
 * :mod:`repro.service` — the compilation server (``repro serve``), its
   micro-batcher, HTTP client and load generator (``repro loadgen``).
-* :mod:`repro.utils.backend` / :mod:`repro.utils.gf2_packed` /
-  :mod:`repro.utils.gf2_arena` — the GF(2) backend switch, the word-packed
-  kernels and the vectorised arena kernels.
+* :mod:`repro.utils.backend` / :mod:`repro.utils.gf2_packed` — the GF(2)
+  backend switch and the word-packed kernels.
 * :mod:`repro.core.streaming` / :mod:`repro.graphs.lazy` — streaming
   partition-compile of lazily-specified graph families with bounded peak
   memory (``repro compile --stream``).

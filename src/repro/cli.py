@@ -617,15 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 50 200 1000 5000)",
     )
     bench_parser.add_argument(
-        "--arena-sizes",
-        type=int,
-        nargs="*",
-        default=None,
-        help="matrix widths for the arena-vs-packed kernel section "
-        "(default: 64 128 256 512 1024; pass with no values to skip the "
-        "section)",
-    )
-    bench_parser.add_argument(
         "--stream-sizes",
         type=int,
         nargs="*",
@@ -1182,7 +1173,6 @@ def _run_loadgen(args: argparse.Namespace) -> int:
 
 def _run_bench(args: argparse.Namespace) -> int:
     from repro.evaluation.perf import (
-        DEFAULT_ARENA_SIZES,
         DEFAULT_BENCH_SIZES,
         DEFAULT_CACHE_SIZES,
         DEFAULT_COMPILE_SIZES,
@@ -1213,9 +1203,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         if args.portfolio_deadlines_ms is not None
         else DEFAULT_PORTFOLIO_DEADLINES_MS
     )
-    arena_sizes = (
-        tuple(args.arena_sizes) if args.arena_sizes is not None else DEFAULT_ARENA_SIZES
-    )
     stream_sizes = (
         tuple(args.stream_sizes)
         if args.stream_sizes is not None
@@ -1231,7 +1218,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         cache_sizes=cache_sizes,
         portfolio_sizes=portfolio_sizes,
         portfolio_deadlines_ms=portfolio_deadlines,
-        arena_sizes=arena_sizes,
         stream_sizes=stream_sizes,
     )
     print("height function (naive per-prefix vs incremental engine):")
@@ -1313,28 +1299,6 @@ def _run_bench(args: argparse.Namespace) -> int:
                     for point in row["anytime_curve"]
                 ],
             )
-        )
-    if record["arena_results"]:
-        arena = record["arena_results"]
-        print("arena GF(2) kernels (packed big-int vs word-arena rref):")
-        print(
-            render_table(
-                ["width", "packed_s", "arena_s", "speedup"],
-                [
-                    [
-                        row["size"],
-                        f"{row['packed_rref_median_seconds']:.4f}",
-                        f"{row['arena_rref_median_seconds']:.4f}",
-                        f"{row['rref_speedup']:.1f}x",
-                    ]
-                    for row in arena["kernel_results"]
-                ],
-            )
-        )
-        crossover = arena["crossover_size"]
-        print(
-            f"  crossover: {crossover if crossover is not None else 'not reached'}"
-            f"  (auto-selection threshold default: {arena['default_threshold']})"
         )
     if record["stream_results"]:
         print("streaming partition-compile (bounded window, tracemalloc peak):")

@@ -78,10 +78,8 @@ class CompilerConfig:
             set).  Ignored by the plain compiler.
         verify: re-simulate compiled circuits on the stabilizer tableau.
         gf2_backend: GF(2)/tableau kernel backend pinned for the whole
-            compilation (``"dense"``, ``"packed"`` or ``"arena"``); ``None``
-            keeps the process default of :mod:`repro.utils.backend` (which
-            auto-selects ``arena`` above the measured per-instance crossover,
-            see ``REPRO_GF2_ARENA_THRESHOLD``).
+            compilation (``"dense"`` or ``"packed"``); ``None`` keeps the
+            process default of :mod:`repro.utils.backend`.
         stream_chunk: region size (lattice rows / photons per region) used by
             the streaming partition-compile pipeline
             (:mod:`repro.core.streaming`) when a lazy generator spec does not

@@ -42,10 +42,10 @@ from repro.core.reduction import (
     ReductionState,
 )
 from repro.graphs.graph_state import GraphState
-from repro.utils.backend import ARENA, PACKED, arena_auto_threshold, resolve_backend
+from repro.utils.backend import PACKED, resolve_backend
 from repro.utils.misc import iter_bits
 
-__all__ = ["PackedReductionState", "arena_auto_threshold", "make_reduction_state"]
+__all__ = ["PackedReductionState", "make_reduction_state"]
 
 Vertex = Hashable
 
@@ -510,25 +510,11 @@ def make_reduction_state(
 
     ``backend=None`` resolves to the process default
     (:func:`repro.utils.backend.get_default_backend`): ``packed`` returns the
-    bitset-native :class:`PackedReductionState`, ``arena`` the word-arena
-    :class:`~repro.core.arena_reduction.ArenaReductionState`, and ``dense``
-    the networkx-backed :class:`~repro.core.reduction.ReductionState` oracle.
-    All three produce bit-identical operation sequences for identical inputs.
-    The arena state runs only when selected explicitly (argument or
-    ``REPRO_GF2_BACKEND``): reduction updates are single-row operations with
-    nothing to batch, so the packed big-int rows stay faster at every
-    measured size and the ``packed`` default is never auto-upgraded here
-    (unlike the bulk elimination kernels in :mod:`repro.utils.gf2`).
+    bitset-native :class:`PackedReductionState` and ``dense`` the
+    networkx-backed :class:`~repro.core.reduction.ReductionState` oracle.
+    Both produce bit-identical operation sequences for identical inputs.
     """
-    resolved = resolve_backend(backend)
-    if resolved == ARENA:
-        from repro.core.arena_reduction import ArenaReductionState
-
-        cls = ArenaReductionState
-    elif resolved == PACKED:
-        cls = PackedReductionState
-    else:
-        cls = ReductionState
+    cls = PackedReductionState if resolve_backend(backend) == PACKED else ReductionState
     return cls(
         target_graph,
         emitter_budget=emitter_budget,

@@ -1,6 +1,6 @@
 """Perf-trajectory benchmark behind ``repro bench``.
 
-Four sections pin the compiler's perf trajectory:
+Five sections pin the compiler's perf trajectory:
 
 * **height function** — the naive from-scratch evaluation (one rank solve
   per prefix, the historical implementation) against the incremental
@@ -22,10 +22,6 @@ Four sections pin the compiler's perf trajectory:
   strategy rung timed once and replayed against a deadline grid (the curve
   is monotone by construction — the CI gate), plus live deadline-bounded
   compiles recording elapsed time and deadline misses;
-* **arena kernels** — arena-vs-packed medians for the bulk GF(2)
-  elimination kernels across matrix widths, with the measured crossover
-  size (the figure the auto-selection threshold tracks) and a
-  reduction/circuit comparison asserted bit-identical;
 * **streaming compile** — bounded-window partition-compiles of >= 1e5-vertex
   lattice/GHZ families under ``tracemalloc``, with a sublinear-peak-memory
   guard and (at small sizes) bit-identity against the whole-graph oracle.
@@ -56,7 +52,6 @@ from repro.utils.backend import get_default_backend, resolve_backend, use_backen
 
 __all__ = [
     "CACHE_BENCH_FAMILIES",
-    "DEFAULT_ARENA_SIZES",
     "DEFAULT_BENCH_SIZES",
     "DEFAULT_CACHE_SIZES",
     "DEFAULT_COMPILE_SIZES",
@@ -67,7 +62,6 @@ __all__ = [
     "STREAM_BENCH_FAMILIES",
     "bench_graph",
     "naive_height_function",
-    "run_arena_bench",
     "run_cache_bench",
     "run_compile_bench",
     "run_emitter_bench",
@@ -106,16 +100,6 @@ DEFAULT_PORTFOLIO_DEADLINES_MS = (50.0, 200.0, 1000.0, 5000.0)
 #: structured rewired one, and a star-shaped family the selector halves the
 #: anneal budget for.
 PORTFOLIO_BENCH_FAMILIES = ("regular", "smallworld", "ghz")
-
-#: Default matrix widths for the arena-vs-packed kernel section.  The sweep
-#: straddles :data:`repro.utils.backend.DEFAULT_ARENA_THRESHOLD` so the
-#: measured crossover lands inside it.
-DEFAULT_ARENA_SIZES = (64, 128, 256, 512, 1024)
-
-#: Vertex count of the arena-vs-packed reduction/circuit comparison (one
-#: size: the point of the entry is bit-identity plus a representative pair
-#: of medians, not a second sweep).
-DEFAULT_ARENA_REDUCE_SIZE = 256
 
 #: Default vertex counts for the streaming-compile section.  The top size is
 #: the paper-scale >= 1e5-vertex point the tentpole targets; the 4x size
@@ -530,139 +514,6 @@ def _traced_peak(func: Callable[[], object]) -> tuple[object, int]:
     return result, int(peak)
 
 
-def run_arena_bench(
-    sizes: Sequence[int] = DEFAULT_ARENA_SIZES,
-    repeats: int = 3,
-    seed: int = 2025,
-    reduce_size: int = DEFAULT_ARENA_REDUCE_SIZE,
-) -> dict:
-    """Arena-vs-packed GF(2) kernel medians and the measured crossover.
-
-    Two sub-sections:
-
-    * **kernel sweep** — square random matrices of every width in ``sizes``
-      pushed through both implementations of the bulk Gauss–Jordan kernels
-      (``rref``; ``rank`` is reported alongside as the roughly-at-parity
-      comparator), results asserted bit-identical, medians recorded.  The
-      ``crossover_size`` is the smallest swept width where the arena rref
-      beats packed — the figure
-      :data:`repro.utils.backend.DEFAULT_ARENA_THRESHOLD` tracks.
-    * **reduction comparison** — one ``greedy_reduce`` plus one
-      :class:`~repro.graphs.incremental.CutRankEngine` sweep at
-      ``reduce_size`` vertices on each backend, with the operation sequences,
-      the forward **circuits** and the height profiles asserted bit-identical
-      before timing.  (Single-row online updates have nothing to batch, so
-      packed is expected to lead here — the point of recording both is to
-      keep the auto-selection boundary honest.)
-
-    Returns
-    -------
-    dict
-        JSON-serialisable record with ``kernel_results``, ``crossover_size``
-        and the reduction/heights medians.
-    """
-    from repro.core.strategies import greedy_reduce
-    from repro.utils import gf2_arena, gf2_packed
-    from repro.utils.backend import DEFAULT_ARENA_THRESHOLD
-
-    rng = np.random.default_rng(seed)
-    kernel_results = []
-    crossover = None
-    for size in sizes:
-        matrix = rng.integers(0, 2, size=(int(size), int(size)), dtype=np.uint8)
-        packed_rref, packed_pivots = gf2_packed.packed_gf2_rref(matrix)
-        arena_rref, arena_pivots = gf2_arena.arena_gf2_rref(matrix)
-        if packed_pivots != arena_pivots or not np.array_equal(packed_rref, arena_rref):
-            raise AssertionError(  # pragma: no cover - correctness guard
-                f"arena rref diverges from the packed result at width {size}"
-            )
-        if gf2_packed.packed_gf2_rank(matrix) != gf2_arena.arena_gf2_rank(matrix):
-            raise AssertionError(  # pragma: no cover - correctness guard
-                f"arena rank diverges from the packed result at width {size}"
-            )
-        packed_rref_median = _median_seconds(
-            lambda m=matrix: gf2_packed.packed_gf2_rref(m), repeats
-        )
-        arena_rref_median = _median_seconds(
-            lambda m=matrix: gf2_arena.arena_gf2_rref(m), repeats
-        )
-        packed_rank_median = _median_seconds(
-            lambda m=matrix: gf2_packed.packed_gf2_rank(m), repeats
-        )
-        arena_rank_median = _median_seconds(
-            lambda m=matrix: gf2_arena.arena_gf2_rank(m), repeats
-        )
-        if crossover is None and arena_rref_median < packed_rref_median:
-            crossover = int(size)
-        kernel_results.append(
-            {
-                "size": int(size),
-                "packed_rref_median_seconds": packed_rref_median,
-                "arena_rref_median_seconds": arena_rref_median,
-                "rref_speedup": (
-                    packed_rref_median / arena_rref_median
-                    if arena_rref_median > 0
-                    else float("inf")
-                ),
-                "packed_rank_median_seconds": packed_rank_median,
-                "arena_rank_median_seconds": arena_rank_median,
-            }
-        )
-
-    graph = bench_graph(int(reduce_size), seed=seed)
-    packed_seq = greedy_reduce(graph, backend="packed")
-    arena_seq = greedy_reduce(graph, backend="arena")
-    if packed_seq.operations != arena_seq.operations:
-        raise AssertionError(  # pragma: no cover - correctness guard
-            f"arena reduction diverges from packed at size {reduce_size}"
-        )
-    if packed_seq.to_circuit().gates != arena_seq.to_circuit().gates:
-        raise AssertionError(  # pragma: no cover - correctness guard
-            f"arena circuit diverges from packed at size {reduce_size}"
-        )
-    ordering = graph.vertices()
-    packed_heights = CutRankEngine(graph, checkpoint=False, backend="packed").heights(
-        ordering
-    )
-    arena_heights = CutRankEngine(graph, checkpoint=False, backend="arena").heights(
-        ordering
-    )
-    if packed_heights != arena_heights:
-        raise AssertionError(  # pragma: no cover - correctness guard
-            f"arena heights diverge from packed at size {reduce_size}"
-        )
-    reduce_packed_median = _median_seconds(
-        lambda g=graph: greedy_reduce(g, backend="packed"), repeats
-    )
-    reduce_arena_median = _median_seconds(
-        lambda g=graph: greedy_reduce(g, backend="arena"), repeats
-    )
-    heights_packed_median = _median_seconds(
-        lambda g=graph, o=ordering: CutRankEngine(
-            g, checkpoint=False, backend="packed"
-        ).heights(o),
-        repeats,
-    )
-    heights_arena_median = _median_seconds(
-        lambda g=graph, o=ordering: CutRankEngine(
-            g, checkpoint=False, backend="arena"
-        ).heights(o),
-        repeats,
-    )
-    return {
-        "sizes": [int(s) for s in sizes],
-        "kernel_results": kernel_results,
-        "crossover_size": crossover,
-        "default_threshold": DEFAULT_ARENA_THRESHOLD,
-        "reduce_size": int(reduce_size),
-        "circuits_bit_identical": True,
-        "reduce_packed_median_seconds": reduce_packed_median,
-        "reduce_arena_median_seconds": reduce_arena_median,
-        "heights_packed_median_seconds": heights_packed_median,
-        "heights_arena_median_seconds": heights_arena_median,
-    }
-
-
 def run_stream_bench(
     sizes: Sequence[int] = DEFAULT_STREAM_SIZES,
     families: Sequence[str] = STREAM_BENCH_FAMILIES,
@@ -779,7 +630,6 @@ def run_emitter_bench(
     cache_sizes: Sequence[int] = DEFAULT_CACHE_SIZES,
     portfolio_sizes: Sequence[int] = DEFAULT_PORTFOLIO_SIZES,
     portfolio_deadlines_ms: Sequence[float] = DEFAULT_PORTFOLIO_DEADLINES_MS,
-    arena_sizes: Sequence[int] = DEFAULT_ARENA_SIZES,
     stream_sizes: Sequence[int] = DEFAULT_STREAM_SIZES,
 ) -> dict:
     """Measure naive-vs-incremental height functions across ``sizes``.
@@ -805,9 +655,6 @@ def run_emitter_bench(
         (:func:`run_portfolio_bench`); empty disables the section.
     portfolio_deadlines_ms : Sequence[float], optional
         Deadline grid for the anytime-portfolio section.
-    arena_sizes : Sequence[int], optional
-        Matrix widths for the arena-vs-packed kernel section
-        (:func:`run_arena_bench`); empty disables the section.
     stream_sizes : Sequence[int], optional
         Vertex counts for the streaming-compile section
         (:func:`run_stream_bench`); empty disables the section.
@@ -823,10 +670,9 @@ def run_emitter_bench(
         ``compile_graph`` medians per size, a ``cache_results`` section
         with cold-vs-warm compile-cache medians per zoo family and size,
         a ``portfolio_results`` section with anytime quality-vs-deadline
-        curves per zoo family and size, an ``arena_results`` section with
-        arena-vs-packed kernel medians and the measured crossover, a
-        ``stream_results`` section with bounded-window streaming compiles,
-        and ``peak_memory_bytes`` with the tracemalloc peak of every section.
+        curves per zoo family and size, a ``stream_results`` section with
+        bounded-window streaming compiles, and ``peak_memory_bytes`` with the
+        tracemalloc peak of every section.
     """
     resolved = resolve_backend(backend)
 
@@ -887,13 +733,6 @@ def run_emitter_bench(
             sizes=portfolio_sizes, deadlines_ms=portfolio_deadlines_ms, seed=seed
         )
     )
-    arena_results, peak_memory["arena"] = _traced_peak(
-        lambda: (
-            run_arena_bench(sizes=arena_sizes, repeats=repeats, seed=seed)
-            if arena_sizes
-            else {}
-        )
-    )
     stream_results, peak_memory["stream"] = _traced_peak(
         lambda: run_stream_bench(sizes=stream_sizes, seed=seed) if stream_sizes else []
     )
@@ -918,8 +757,6 @@ def run_emitter_bench(
         "portfolio_deadlines_ms": [float(d) for d in portfolio_deadlines_ms],
         "portfolio_families": list(PORTFOLIO_BENCH_FAMILIES),
         "portfolio_results": portfolio_results,
-        "arena_sizes": [int(s) for s in arena_sizes],
-        "arena_results": arena_results,
         "stream_sizes": [int(s) for s in stream_sizes],
         "stream_families": list(STREAM_BENCH_FAMILIES),
         "stream_results": stream_results,
@@ -937,7 +774,6 @@ def write_bench_file(
     cache_sizes: Sequence[int] = DEFAULT_CACHE_SIZES,
     portfolio_sizes: Sequence[int] = DEFAULT_PORTFOLIO_SIZES,
     portfolio_deadlines_ms: Sequence[float] = DEFAULT_PORTFOLIO_DEADLINES_MS,
-    arena_sizes: Sequence[int] = DEFAULT_ARENA_SIZES,
     stream_sizes: Sequence[int] = DEFAULT_STREAM_SIZES,
 ) -> dict:
     """Run :func:`run_emitter_bench` and dump the record to ``path``."""
@@ -950,7 +786,6 @@ def write_bench_file(
         cache_sizes=cache_sizes,
         portfolio_sizes=portfolio_sizes,
         portfolio_deadlines_ms=portfolio_deadlines_ms,
-        arena_sizes=arena_sizes,
         stream_sizes=stream_sizes,
     )
     path = Path(path)

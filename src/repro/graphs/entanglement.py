@@ -29,10 +29,9 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from repro.graphs.graph_state import GraphState
-from repro.utils.backend import ARENA, PACKED, resolve_backend
+from repro.utils.backend import PACKED, resolve_backend
 from repro.utils.gf2 import gf2_rank
-from repro.utils.gf2_arena import rank_of_word_rows
-from repro.utils.gf2_packed import rank_of_row_ints, words_per_row
+from repro.utils.gf2_packed import rank_of_row_ints
 
 __all__ = ["cut_rank", "height_function", "minimum_emitters"]
 
@@ -58,8 +57,7 @@ def cut_rank(
         raise KeyError(f"vertices not in graph: {sorted(map(repr, missing))}")
     if not subset_list or len(subset_set) == graph.num_vertices:
         return 0
-    chosen = resolve_backend(backend)
-    if chosen in (PACKED, ARENA):
+    if resolve_backend(backend) == PACKED:
         packed = graph.packed_adjacency()
         subset_mask = 0
         for u in subset_list:
@@ -67,15 +65,7 @@ def cut_rank(
         complement_mask = packed.full_mask ^ subset_mask
         rows = packed.rows
         index = packed.index
-        masked = (rows[index[u]] & complement_mask for u in subset_list)
-        if chosen == ARENA:
-            stride = words_per_row(max(1, graph.num_vertices)) * 8
-            raw = b"".join(row.to_bytes(stride, "little") for row in masked)
-            words = np.frombuffer(raw, dtype="<u8").reshape(
-                len(subset_list), stride // 8
-            ).astype(np.uint64, copy=False)
-            return rank_of_word_rows(words)
-        return rank_of_row_ints(masked)
+        return rank_of_row_ints(rows[index[u]] & complement_mask for u in subset_list)
     complement = [v for v in graph.vertices() if v not in subset_set]
     matrix = np.zeros((len(subset_list), len(complement)), dtype=np.uint8)
     complement_index = {v: j for j, v in enumerate(complement)}
@@ -108,11 +98,10 @@ def height_function(
     ordering = list(ordering)
     if set(ordering) != set(graph.vertices()) or len(ordering) != graph.num_vertices:
         raise ValueError("ordering must be a permutation of the graph's vertices")
-    chosen = resolve_backend(backend)
-    if chosen in (PACKED, ARENA):
+    if resolve_backend(backend) == PACKED:
         from repro.graphs.incremental import incremental_height_function
 
-        return incremental_height_function(graph, ordering, backend=chosen)
+        return incremental_height_function(graph, ordering)
     heights = [0]
     for i in range(1, len(ordering) + 1):
         heights.append(cut_rank(graph, ordering[:i], backend=backend))

@@ -32,21 +32,14 @@ searches) possible.
 
 Rows are Python integers in the :class:`repro.graphs.graph_state.
 PackedAdjacency` convention; the elimination kernel is shared with
-:mod:`repro.utils.gf2_packed`.  On the ``arena`` backend the basis instead
-lives in ``np.uint64`` word rows and each insertion is a run of vectorised
-XORs — same pivots, same ranks, no big-int allocation per step.
+:mod:`repro.utils.gf2_packed`.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-import numpy as np
-
 from repro.graphs.graph_state import GraphState, PackedAdjacency
-from repro.utils.backend import ARENA, resolve_backend
-from repro.utils.gf2_arena import highest_bit_of_words
-from repro.utils.gf2_packed import words_per_row
 
 __all__ = ["CutRankEngine", "incremental_height_function"]
 
@@ -81,32 +74,15 @@ class CutRankEngine:
         Keep per-position snapshots of the echelon basis (default).  Disable
         for one-shot sweeps where :meth:`truncate` is never needed; the
         engine then only supports truncating to the current length or 0.
-    backend : str | None, optional
-        GF(2) backend override.  ``None`` resolves the process default; the
-        ``arena`` basis runs only when selected explicitly (the online insert
-        is a single-row operation with nothing to batch, so the packed
-        big-int basis stays the faster default).  Heights are identical on
-        every backend.
     """
 
-    def __init__(
-        self, graph: GraphState, checkpoint: bool = True, backend: str | None = None
-    ):
+    def __init__(self, graph: GraphState, checkpoint: bool = True):
         adjacency: PackedAdjacency = graph.packed_adjacency()
         self._index = adjacency.index
         self._rows = adjacency.rows
         self._num_vertices = adjacency.num_vertices
         self._checkpoint = checkpoint
         self._vertex_set = frozenset(self._index)
-        self._arena_mode = resolve_backend(backend) == ARENA
-        if self._arena_mode:
-            n_words = words_per_row(max(1, self._num_vertices))
-            stride = n_words * 8
-            raw = b"".join(row.to_bytes(stride, "little") for row in self._rows)
-            self._word_rows = np.frombuffer(raw, dtype="<u8").reshape(
-                max(1, len(self._rows)), n_words
-            ).astype(np.uint64, copy=False)
-            self._n_words = n_words
         self.reset()
 
     # ------------------------------------------------------------------ #
@@ -140,7 +116,7 @@ class CutRankEngine:
 
     def reset(self) -> None:
         """Clear the prefix (the echelon basis becomes empty)."""
-        self._basis: dict[int, int] | dict[int, np.ndarray] = {}
+        self._basis: dict[int, int] = {}
         self._rank = 0
         self._prefix: list[Vertex] = []
         self._used: set[Vertex] = set()
@@ -163,35 +139,6 @@ class CutRankEngine:
                 return
             row ^= pivot
 
-    def _insert_words(self, row: np.ndarray) -> None:
-        """Arena-mode :meth:`_insert`: the vector is a ``np.uint64`` word row.
-
-        ``row`` must be freshly owned by the caller — it is XOR-mutated in
-        place during elimination and stored in the basis on success.  Stored
-        basis rows are never mutated afterwards, so snapshots can share them.
-        """
-        basis = self._basis
-        high = highest_bit_of_words(row)
-        while high >= 0:
-            pivot = basis.get(high)
-            if pivot is None:
-                basis[high] = row
-                self._rank += 1
-                return
-            row ^= pivot
-            high = highest_bit_of_words(row)
-
-    def _append_vectors(self, index: int) -> None:
-        """Insert ``e_index`` and ``adj(index)`` into the echelon basis."""
-        if self._arena_mode:
-            unit = np.zeros(self._n_words, dtype=np.uint64)
-            unit[index // 64] = np.uint64(1 << (index % 64))
-            self._insert_words(unit)
-            self._insert_words(self._word_rows[index].copy())
-        else:
-            self._insert(1 << index)
-            self._insert(self._rows[index])
-
     def append(self, vertex: Vertex) -> int:
         """Append ``vertex`` to the prefix; return the new cut rank ``h(i)``.
 
@@ -207,7 +154,8 @@ class CutRankEngine:
             raise KeyError(f"vertex {vertex!r} not in graph")
         if vertex in self._used:
             raise ValueError(f"vertex {vertex!r} already in the prefix")
-        self._append_vectors(index)
+        self._insert(1 << index)
+        self._insert(self._rows[index])
         self._prefix.append(vertex)
         self._used.add(vertex)
         height = self._rank - len(self._prefix)
@@ -280,9 +228,7 @@ class CutRankEngine:
 
 
 def incremental_height_function(
-    graph: GraphState,
-    ordering: Sequence[Vertex] | None = None,
-    backend: str | None = None,
+    graph: GraphState, ordering: Sequence[Vertex] | None = None
 ) -> list[int]:
     """Height function of ``ordering`` via a one-shot :class:`CutRankEngine`.
 
@@ -292,4 +238,4 @@ def incremental_height_function(
     """
     if ordering is None:
         ordering = graph.vertices()
-    return CutRankEngine(graph, checkpoint=False, backend=backend).heights(ordering)
+    return CutRankEngine(graph, checkpoint=False).heights(ordering)

@@ -72,7 +72,6 @@ class StabilizerState:
             raise ValueError(f"num_qubits must be positive, got {num_qubits}")
         self.num_qubits = int(num_qubits)
         self.backend = resolve_backend(backend)
-        # The arena backend shares the word-packed tableau fast path.
         self._packed = self.backend != DENSE
         n = self.num_qubits
         self.r = np.zeros(2 * n, dtype=np.uint8)

@@ -1,25 +1,17 @@
 """Selection of the GF(2) compute backend.
 
-Three backends implement the exact binary-field kernels that the compiler's
+Two backends implement the exact binary-field kernels that the compiler's
 hot paths (cut rank, stabilizer canonicalisation, circuit verification) run
 on:
 
 * ``"dense"`` — the original ``uint8`` implementation in
   :mod:`repro.utils.gf2`.  Simple, thoroughly tested, and kept as the oracle
-  that the fast paths are checked against.
+  that the fast path is checked against.
 * ``"packed"`` — the word-packed implementation in
   :mod:`repro.utils.gf2_packed`: rows live as arbitrary-precision Python
   integers (or ``np.uint64`` words at the array boundary), row elimination is
   XOR of machine words and ranks come out of popcounts.  Bit-exact with the
   dense backend and several times faster from a few hundred columns on.
-* ``"arena"`` — the array-arena implementation in
-  :mod:`repro.utils.gf2_arena`: rows live in a preallocated 2-D ``np.uint64``
-  arena, row updates are vectorised ``np.bitwise_xor`` and rule queries are
-  ``np.bitwise_count`` popcounts.  Bit-exact with both other backends and the
-  fastest at bulk Gauss–Jordan elimination from about a hundred columns on,
-  because the carrier XOR batches across every row in one vectorised call
-  (the ``packed`` default hands those kernels to the arena automatically past
-  :func:`arena_auto_threshold` columns).
 
 The process-wide default is ``"packed"`` and can be pinned with the
 ``REPRO_GF2_BACKEND`` environment variable or :func:`set_default_backend`.
@@ -41,11 +33,9 @@ from contextvars import ContextVar
 from typing import Iterator
 
 __all__ = [
-    "ARENA",
     "BACKENDS",
     "DENSE",
     "PACKED",
-    "arena_auto_threshold",
     "get_default_backend",
     "resolve_backend",
     "set_default_backend",
@@ -54,41 +44,9 @@ __all__ = [
 
 DENSE = "dense"
 PACKED = "packed"
-ARENA = "arena"
 
 #: All recognised backend names.
-BACKENDS = (DENSE, PACKED, ARENA)
-
-#: Default matrix width (columns) at which the ``packed`` default hands a
-#: *bulk elimination* (rref / nullspace / solve) to the arena implementation.
-#: Below it CPython's big-int limb XOR wins on fixed overhead; above it the
-#: arena's vectorised carrier XOR — one numpy call per pivot, batched across
-#: every row — pulls ahead (measured ~2x at 256 columns, ~4x at 1024).  The
-#: shipped default tracks the measured crossover in ``BENCH_emitters.json``
-#: (``arena_results``) and can be pinned with ``REPRO_GF2_ARENA_THRESHOLD``.
-#: Single-row online updates (the reduction states, the incremental cut-rank
-#: sweep) are *not* auto-upgraded: per-row work has no batching to win on, so
-#: the packed big-int rows stay faster there at every measured size — the
-#: arena variants of those paths run only when pinned explicitly.
-DEFAULT_ARENA_THRESHOLD = 128
-
-
-def arena_auto_threshold() -> int:
-    """Matrix width at which auto-selection switches ``packed`` to ``arena``.
-
-    Reads ``REPRO_GF2_ARENA_THRESHOLD`` on every call (the value is a single
-    ``int`` parse, and re-reading keeps tests and notebooks free to tweak the
-    knob without reloading modules).  Unparseable values fall back to the
-    default; ``0`` routes every bulk elimination to the arena, a very large
-    value disables auto-selection.
-    """
-    raw = os.environ.get("REPRO_GF2_ARENA_THRESHOLD")
-    if raw is None:
-        return DEFAULT_ARENA_THRESHOLD
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_ARENA_THRESHOLD
+BACKENDS = (DENSE, PACKED)
 
 #: Sentinel meaning "the environment has not been consulted yet".
 _UNRESOLVED = object()

@@ -1,4 +1,4 @@
-"""Linear algebra over GF(2) with a dense/packed/arena backend switch.
+"""Linear algebra over GF(2) with a dense/packed backend switch.
 
 The compiler needs a handful of exact binary-field operations:
 
@@ -18,17 +18,11 @@ Two interchangeable implementations back the public functions:
   defined in this module, kept as the oracle;
 * ``backend="packed"`` — the ``np.uint64`` word-packed kernels of
   :mod:`repro.utils.gf2_packed`, bit-exact with the dense path and several
-  times faster from a few hundred columns on;
-* ``backend="arena"`` — the preallocated word-arena kernels of
-  :mod:`repro.utils.gf2_arena`, bit-exact with both and the fastest for bulk
-  Gauss–Jordan elimination (rref / nullspace / solve) from roughly a hundred
-  columns on, because the carrier XOR batches across every row at once.
+  times faster from a few hundred columns on.
 
 ``backend=None`` (the default everywhere) defers to
-:func:`repro.utils.backend.get_default_backend`; on the ``packed`` default
-the elimination-style kernels additionally auto-select the arena per
-instance once a matrix reaches :func:`repro.utils.backend.arena_auto_threshold`
-columns (the measured crossover, tracked in ``BENCH_emitters.json``).
+:func:`repro.utils.backend.get_default_backend`; an explicit ``backend=``
+argument always runs that backend's kernel.
 :func:`gf2_gaussian_elimination` is the one dense-only exception: its
 non-reduced echelon output depends on the elimination order and is therefore
 not canonical, so only the dense implementation defines it.
@@ -38,8 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.backend import ARENA, PACKED, arena_auto_threshold, resolve_backend
-from repro.utils import gf2_arena, gf2_packed
+from repro.utils.backend import DENSE, PACKED, resolve_backend
+from repro.utils import gf2_packed
 
 __all__ = [
     "gf2_gaussian_elimination",
@@ -49,24 +43,6 @@ __all__ = [
     "gf2_rref",
     "gf2_solve",
 ]
-
-
-def _elimination_backend(chosen: str, matrix: np.ndarray) -> str:
-    """Per-instance auto-selection for the bulk Gauss–Jordan kernels.
-
-    The arena backend wins on full eliminations (rref / nullspace / solve)
-    once matrices reach :func:`arena_auto_threshold` columns, because the
-    carrier XOR batches across every row in one vectorised call; below the
-    threshold (and on single-row online updates) the packed big-int rows have
-    lower fixed overhead.  Only the ``packed`` default is upgraded — an
-    explicit ``backend=`` argument is always honoured.
-    """
-    if chosen != PACKED:
-        return chosen
-    arr = np.asarray(matrix)
-    if arr.ndim == 2 and arr.shape[1] >= arena_auto_threshold():
-        return ARENA
-    return chosen
 
 
 def _as_gf2(matrix: np.ndarray) -> np.ndarray:
@@ -122,11 +98,9 @@ def gf2_rref(
         ``(rref, pivot_columns)``; rows above each pivot are cleared as well,
         so the result is unique for a given row space.
     """
-    chosen = _elimination_backend(resolve_backend(backend), matrix)
+    chosen = resolve_backend(backend)
     if chosen == PACKED:
         return gf2_packed.packed_gf2_rref(matrix)
-    if chosen == ARENA:
-        return gf2_arena.arena_gf2_rref(matrix)
     mat, pivot_cols = gf2_gaussian_elimination(matrix)
     for row_index, col in enumerate(pivot_cols):
         above = np.nonzero(mat[:row_index, col])[0]
@@ -145,8 +119,6 @@ def gf2_rank(matrix: np.ndarray, backend: str | None = None) -> int:
     chosen = resolve_backend(backend)
     if chosen == PACKED:
         return gf2_packed.packed_gf2_rank(matrix)
-    if chosen == ARENA:
-        return gf2_arena.arena_gf2_rank(matrix)
     mat = _as_gf2(matrix)
     if mat.size == 0:
         return 0
@@ -161,8 +133,6 @@ def gf2_matmul(
     chosen = resolve_backend(backend)
     if chosen == PACKED:
         return gf2_packed.packed_gf2_matmul(left, right)
-    if chosen == ARENA:
-        return gf2_arena.arena_gf2_matmul(left, right)
     left_m = _as_gf2(left)
     right_m = _as_gf2(right)
     if left_m.shape[1] != right_m.shape[0]:
@@ -187,17 +157,15 @@ def gf2_solve(
         One particular solution vector of length ``n`` (dtype uint8), or
         ``None`` when the system is inconsistent.
     """
-    chosen = _elimination_backend(resolve_backend(backend), matrix)
+    chosen = resolve_backend(backend)
     if chosen == PACKED:
         return gf2_packed.packed_gf2_solve(matrix, rhs)
-    if chosen == ARENA:
-        return gf2_arena.arena_gf2_solve(matrix, rhs)
     mat = _as_gf2(matrix)
     vec = np.array(rhs, dtype=np.int64, copy=True).reshape(-1, 1) % 2
     if vec.shape[0] != mat.shape[0]:
         raise ValueError("rhs length does not match the number of rows")
     augmented = np.concatenate([mat, vec.astype(np.uint8)], axis=1)
-    reduced, pivots = gf2_rref(augmented)
+    reduced, pivots = gf2_rref(augmented, backend=DENSE)
     n_cols = mat.shape[1]
     # Inconsistent if a pivot lands in the augmented column.
     if n_cols in pivots:
@@ -215,14 +183,12 @@ def gf2_nullspace(matrix: np.ndarray, backend: str | None = None) -> np.ndarray:
         An array of shape ``(k, n)`` whose rows form a basis of
         ``{x : matrix @ x = 0}``.  ``k`` may be zero.
     """
-    chosen = _elimination_backend(resolve_backend(backend), matrix)
+    chosen = resolve_backend(backend)
     if chosen == PACKED:
         return gf2_packed.packed_gf2_nullspace(matrix)
-    if chosen == ARENA:
-        return gf2_arena.arena_gf2_nullspace(matrix)
     mat = _as_gf2(matrix)
     n_cols = mat.shape[1]
-    reduced, pivots = gf2_rref(mat)
+    reduced, pivots = gf2_rref(mat, backend=DENSE)
     free_cols = [c for c in range(n_cols) if c not in pivots]
     basis_rows = []
     for free in free_cols:

@@ -62,6 +62,12 @@ class TestParser:
         assert args.size == 20
         assert args.emitter_factor == pytest.approx(1.5)
 
+    def test_compile_rejects_unknown_backend(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", "--backend", "arena"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_figure_choices(self):
         args = build_parser().parse_args(["figure", "fig10a", "--sizes", "10", "12"])
         assert args.figure == "fig10a"

@@ -138,6 +138,8 @@ class TestConfiguration:
             CompilerConfig(partition_method="quantum")
         with pytest.raises(ValueError):
             CompilerConfig(emitter_limit=0)
+        with pytest.raises(ValueError):
+            CompilerConfig(gf2_backend="arena")
 
     def test_with_overrides_returns_new_config(self):
         config = CompilerConfig()

@@ -21,6 +21,7 @@ from repro.graphs.entanglement import cut_rank, minimum_emitters
 from repro.graphs.graph_state import GraphState
 from repro.stabilizer.canonical import canonical_stabilizer_matrix, states_equal
 from repro.stabilizer.tableau import StabilizerState
+from repro.utils import backend as backend_module
 from repro.utils import gf2
 from repro.utils.backend import (
     get_default_backend,
@@ -42,9 +43,14 @@ matrix_inputs = st.tuples(
     st.integers(min_value=0, max_value=100_000),  # seed
 )
 
-# A couple of shapes straddling the 64-bit word boundary, where packing bugs
-# hide; exercised deterministically on top of the hypothesis sweeps.
-WIDE_SHAPES = [(5, 63), (7, 64), (6, 65), (4, 127), (9, 130), (3, 200)]
+# Shapes straddling the 64-bit word boundary in columns (and, for the two
+# tall ones, in rows), where packing bugs hide; exercised deterministically on
+# top of the hypothesis sweeps.
+WIDE_SHAPES = [
+    (5, 63), (7, 64), (6, 65), (4, 127), (9, 130), (3, 200),
+    (40, 63), (40, 64), (40, 65), (40, 127), (40, 128), (40, 129), (40, 200),
+    (65, 30), (130, 30),
+]
 
 
 def random_matrix(rows: int, cols: int, seed: int, density: float = 0.5) -> np.ndarray:
@@ -57,8 +63,15 @@ class TestBackendRegistry:
         assert resolve_backend(None) == get_default_backend()
         assert resolve_backend("dense") == "dense"
         assert resolve_backend("PACKED") == "packed"
-        with pytest.raises(ValueError):
-            resolve_backend("simd")
+        for name in ("simd", "arena"):
+            with pytest.raises(ValueError):
+                resolve_backend(name)
+
+    def test_unrecognised_env_value_falls_back_to_packed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GF2_BACKEND", "arena")
+        monkeypatch.setattr(backend_module, "_default_backend", backend_module._UNRESOLVED)
+        with pytest.warns(RuntimeWarning, match="arena"):
+            assert get_default_backend() == "packed"
 
     def test_use_backend_restores_default(self):
         before = get_default_backend()
@@ -196,6 +209,25 @@ class TestKernelEquivalence:
             packed_rref, packed_pivots = gf2.gf2_rref(matrix, backend="packed")
             assert packed_pivots == dense_pivots
             assert np.array_equal(packed_rref, dense_rref)
+            assert np.array_equal(
+                gf2.gf2_nullspace(matrix, backend="packed"),
+                gf2.gf2_nullspace(matrix, backend="dense"),
+            )
+            # One consistent right-hand side (in the column space) and one
+            # random one, usually inconsistent when the rank is below the row
+            # count.
+            x = random_matrix(1, cols, seed=rows * cols)[0]
+            for rhs in (
+                gf2.gf2_matmul(matrix, x.reshape(-1, 1), backend="dense").ravel(),
+                random_matrix(1, rows, seed=rows + cols)[0],
+            ):
+                dense = gf2.gf2_solve(matrix, rhs, backend="dense")
+                packed = gf2.gf2_solve(matrix, rhs, backend="packed")
+                if dense is None:
+                    assert packed is None
+                else:
+                    assert packed is not None
+                    assert np.array_equal(packed, dense)
 
 
 def random_graph(num_vertices: int, seed: int) -> GraphState:

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.entanglement import cut_rank, height_function
-from repro.graphs.generators import lattice_graph, linear_cluster, waxman_graph
+from repro.graphs.generators import (
+    erdos_renyi_graph,
+    lattice_graph,
+    linear_cluster,
+    waxman_graph,
+)
 from repro.graphs.graph_state import GraphState
 from repro.graphs.incremental import CutRankEngine, incremental_height_function
 from repro.pipeline.jobs import GraphSpec
@@ -136,6 +141,16 @@ class TestCheckpointRollback:
         for v in new_order[3:]:
             engine.append(v)
         assert engine.heights_so_far == dense_oracle_heights(graph, new_order)
+
+    def test_multi_word_graph_matches_dense_oracle(self):
+        """Rows wider than one 64-bit word, with a rollback past position 5."""
+        graph = erdos_renyi_graph(70, seed=4)
+        ordering = graph.vertices()
+        engine = CutRankEngine(graph)
+        assert engine.heights(ordering) == dense_oracle_heights(graph, ordering)
+        engine.truncate(5)
+        flipped = ordering[:5] + list(reversed(ordering[5:]))
+        assert engine.heights(flipped) == dense_oracle_heights(graph, flipped)
 
     def test_append_validation(self):
         graph = linear_cluster(4)

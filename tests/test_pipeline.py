@@ -80,8 +80,9 @@ class TestBatchJob:
         spec = GraphSpec("lattice", 9, 3)
         with pytest.raises(ValueError):
             BatchJob(graph=spec, kind="profile")
-        with pytest.raises(ValueError):
-            BatchJob(graph=spec, backend="simd")
+        for backend in ("simd", "arena"):
+            with pytest.raises(ValueError):
+                BatchJob(graph=spec, backend=backend)
         with pytest.raises(ValueError):
             BatchJob(graph=spec, hardware="abacus")
 
