@@ -1,19 +1,18 @@
-"""Tests for the arena GF(2) backend (word arenas + bulk kernels).
+"""Packed GF(2) backend against the dense oracle at word boundaries.
 
 Three layers of bit-identity guarantees:
 
-* kernel level — ``arena_gf2_*`` agree with the packed big-int kernels and
-  the dense uint8 oracle on every input, including widths that cross the
+* kernel level — the packed big-int kernels agree with the dense uint8
+  oracle on every input, including widths and heights that cross the
   64-bit word boundary;
-* reduction level — ``greedy_reduce`` on the arena backend produces the
-  exact same operation sequence (and forward circuit) as packed and dense;
-* engine level — ``CutRankEngine`` heights match across all three backends
-  on the full scenario zoo.
+* reduction level — ``greedy_reduce`` on packed produces the exact same
+  operation sequence (and forward circuit) as dense;
+* engine level — ``CutRankEngine`` heights match the dense one-rank-per-prefix
+  evaluation on the full scenario zoo.
 
-Plus the auto-selection contract: the bulk elimination kernels
-(``gf2_rref``/``gf2_solve``/``gf2_nullspace``) upgrade packed to arena at
-the measured column crossover, while per-row online consumers
-(``make_reduction_state``, ``CutRankEngine``) never auto-upgrade.
+The module, and one test, keep the names they had when a third, word-arena
+backend also sat in these comparisons; that backend is gone and every case
+now pins ``packed`` against ``dense``.
 """
 
 from __future__ import annotations
@@ -24,13 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.arena_reduction import ArenaReductionState
-from repro.core.packed_reduction import (
-    PackedReductionState,
-    make_reduction_state,
-)
+from repro.core.packed_reduction import PackedReductionState, make_reduction_state
 from repro.core.reduction import ReductionState
 from repro.core.strategies import greedy_reduce
+from repro.graphs.entanglement import height_function
 from repro.graphs.generators import (
     erdos_renyi_graph,
     ghz_graph,
@@ -41,23 +37,13 @@ from repro.graphs.generators import (
     watts_strogatz_graph,
 )
 from repro.graphs.incremental import CutRankEngine
-from repro.utils.backend import ARENA, PACKED, arena_auto_threshold, use_backend
-from repro.utils.gf2 import (
-    _elimination_backend,
-    gf2_matmul,
-    gf2_nullspace,
-    gf2_rank,
-    gf2_rref,
-    gf2_solve,
-)
+from repro.utils.gf2 import gf2_matmul, gf2_nullspace, gf2_rank, gf2_rref, gf2_solve
 
 binary_matrices = arrays(
     dtype=np.uint8,
     shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
     elements=st.integers(0, 1),
 )
-
-BACKEND_TRIPLE = ("dense", "packed", "arena")
 
 #: The seven scenario-zoo families of the evaluation harness.
 ZOO_GRAPHS = {
@@ -71,32 +57,49 @@ ZOO_GRAPHS = {
 }
 
 
+def assert_kernels_match(matrix: np.ndarray) -> None:
+    """rank, rref, nullspace and solve agree between packed and dense."""
+    assert gf2_rank(matrix, backend="packed") == gf2_rank(matrix, backend="dense")
+    ref_m, ref_p = gf2_rref(matrix, backend="dense")
+    got_m, got_p = gf2_rref(matrix, backend="packed")
+    assert np.array_equal(got_m, ref_m)
+    assert list(got_p) == list(ref_p)
+    assert np.array_equal(
+        gf2_nullspace(matrix, backend="packed"),
+        gf2_nullspace(matrix, backend="dense"),
+    )
+    x = np.arange(matrix.shape[1], dtype=np.uint8) % 2
+    b = gf2_matmul(matrix, x.reshape(-1, 1)).ravel()
+    for backend in ("dense", "packed"):
+        solution = gf2_solve(matrix, b, backend=backend)
+        assert solution is not None, backend
+        check = gf2_matmul(matrix, np.asarray(solution).reshape(-1, 1)).ravel()
+        assert np.array_equal(check, b), backend
+
+
 class TestKernelEquivalence:
-    """arena == packed == dense on every bulk kernel."""
+    """packed == dense on every bulk kernel."""
 
     @given(binary_matrices)
     @settings(max_examples=60, deadline=None)
     def test_rank_matches_across_backends(self, matrix):
-        ranks = {b: gf2_rank(matrix, backend=b) for b in BACKEND_TRIPLE}
-        assert len(set(ranks.values())) == 1, ranks
+        assert gf2_rank(matrix, backend="packed") == gf2_rank(matrix, backend="dense")
 
     @given(binary_matrices)
     @settings(max_examples=60, deadline=None)
     def test_rref_matches_across_backends(self, matrix):
-        results = {b: gf2_rref(matrix, backend=b) for b in BACKEND_TRIPLE}
-        ref_matrix, ref_pivots = results["dense"]
-        for backend in ("packed", "arena"):
-            got_matrix, got_pivots = results[backend]
-            assert np.array_equal(got_matrix, ref_matrix), backend
-            assert list(got_pivots) == list(ref_pivots), backend
+        ref_matrix, ref_pivots = gf2_rref(matrix, backend="dense")
+        got_matrix, got_pivots = gf2_rref(matrix, backend="packed")
+        assert np.array_equal(got_matrix, ref_matrix)
+        assert list(got_pivots) == list(ref_pivots)
 
     @given(binary_matrices)
     @settings(max_examples=60, deadline=None)
     def test_nullspace_matches_across_backends(self, matrix):
-        ref = gf2_nullspace(matrix, backend="dense")
-        for backend in ("packed", "arena"):
-            got = gf2_nullspace(matrix, backend=backend)
-            assert np.array_equal(got, ref), backend
+        assert np.array_equal(
+            gf2_nullspace(matrix, backend="packed"),
+            gf2_nullspace(matrix, backend="dense"),
+        )
 
     @given(binary_matrices, st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -106,8 +109,8 @@ class TestKernelEquivalence:
             [rng.randint(0, 1) for _ in range(matrix.shape[1])], dtype=np.uint8
         )
         b = gf2_matmul(matrix, x.reshape(-1, 1)).ravel()
-        solutions = {b_: gf2_solve(matrix, b, backend=b_) for b_ in BACKEND_TRIPLE}
-        for backend, solution in solutions.items():
+        for backend in ("dense", "packed"):
+            solution = gf2_solve(matrix, b, backend=backend)
             assert solution is not None, backend
             check = gf2_matmul(matrix, np.asarray(solution).reshape(-1, 1)).ravel()
             assert np.array_equal(check, b), backend
@@ -121,137 +124,75 @@ class TestKernelEquivalence:
     def test_matmul_matches_across_backends(self, left, inner_cols):
         rng = np.random.default_rng(left.sum() + inner_cols)
         right = rng.integers(0, 2, size=(left.shape[1], inner_cols), dtype=np.uint8)
-        ref = gf2_matmul(left, right, backend="dense")
-        for backend in ("packed", "arena"):
-            assert np.array_equal(gf2_matmul(left, right, backend=backend), ref)
+        assert np.array_equal(
+            gf2_matmul(left, right, backend="packed"),
+            gf2_matmul(left, right, backend="dense"),
+        )
 
     @pytest.mark.parametrize("cols", [63, 64, 65, 127, 128, 129, 200])
     def test_word_boundary_widths(self, cols):
         """Widths straddling the 64-bit word boundary stay bit-identical."""
         rng = np.random.default_rng(cols)
-        matrix = rng.integers(0, 2, size=(40, cols), dtype=np.uint8)
-        assert gf2_rank(matrix, backend="arena") == gf2_rank(matrix, backend="dense")
-        ref_m, ref_p = gf2_rref(matrix, backend="dense")
-        got_m, got_p = gf2_rref(matrix, backend="arena")
-        assert np.array_equal(got_m, ref_m)
-        assert list(got_p) == list(ref_p)
-        assert np.array_equal(
-            gf2_nullspace(matrix, backend="arena"),
-            gf2_nullspace(matrix, backend="dense"),
-        )
+        assert_kernels_match(rng.integers(0, 2, size=(40, cols), dtype=np.uint8))
 
     @pytest.mark.parametrize("rows", [65, 130])
     def test_tall_matrices_beyond_64_rows(self, rows):
         rng = np.random.default_rng(rows)
-        matrix = rng.integers(0, 2, size=(rows, 30), dtype=np.uint8)
-        assert gf2_rank(matrix, backend="arena") == gf2_rank(matrix, backend="dense")
+        assert_kernels_match(rng.integers(0, 2, size=(rows, 30), dtype=np.uint8))
 
 
 class TestAutoSelection:
-    """Bulk elimination upgrades packed -> arena at the column crossover."""
-
-    def test_default_threshold(self):
-        assert arena_auto_threshold() == 128
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_ARENA_THRESHOLD", "16")
-        assert arena_auto_threshold() == 16
-
-    def test_upgrade_at_threshold_edge(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_ARENA_THRESHOLD", "8")
-        below = np.zeros((4, 7), dtype=np.uint8)
-        at = np.zeros((4, 8), dtype=np.uint8)
-        assert _elimination_backend(PACKED, below) == PACKED
-        assert _elimination_backend(PACKED, at) == ARENA
-
-    def test_explicit_backend_never_upgraded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF2_ARENA_THRESHOLD", "1")
-        wide = np.zeros((4, 64), dtype=np.uint8)
-        assert _elimination_backend("dense", wide) == "dense"
-        assert _elimination_backend(ARENA, wide) == ARENA
-
-    def test_rref_result_unchanged_by_routing(self, monkeypatch):
-        """Auto-upgraded rref answers match the un-upgraded ones exactly."""
-        rng = np.random.default_rng(7)
-        matrix = rng.integers(0, 2, size=(50, 140), dtype=np.uint8)
-        monkeypatch.setenv("REPRO_GF2_ARENA_THRESHOLD", "64")
-        routed_m, routed_p = gf2_rref(matrix, backend="packed")
-        monkeypatch.setenv("REPRO_GF2_ARENA_THRESHOLD", "100000")
-        plain_m, plain_p = gf2_rref(matrix, backend="packed")
-        assert np.array_equal(routed_m, plain_m)
-        assert list(routed_p) == list(plain_p)
+    """The reduction state is exactly the backend asked for, at any width."""
 
     def test_make_reduction_state_does_not_auto_upgrade(self):
-        # Per-row online updates are faster packed; arena is explicit-only.
-        graph = ghz_graph(16)
-        state = make_reduction_state(graph, backend="packed")
-        assert isinstance(state, PackedReductionState)
-        arena = make_reduction_state(graph, backend="arena")
-        assert isinstance(arena, ArenaReductionState)
-        dense = make_reduction_state(graph, backend="dense")
-        assert isinstance(dense, ReductionState)
-        assert not isinstance(dense, (PackedReductionState, ArenaReductionState))
+        for graph in (ghz_graph(16), erdos_renyi_graph(140, seed=1)):
+            state = make_reduction_state(graph, backend="packed")
+            assert isinstance(state, PackedReductionState)
+            dense = make_reduction_state(graph, backend="dense")
+            assert isinstance(dense, ReductionState)
+            assert not isinstance(dense, PackedReductionState)
 
 
 class TestReductionBitIdentity:
-    """greedy_reduce is bit-identical on all three backends."""
+    """greedy_reduce is bit-identical on both backends."""
 
     @pytest.mark.parametrize("family", sorted(ZOO_GRAPHS))
     def test_operations_and_circuits_identical(self, family):
         graph = ZOO_GRAPHS[family]()
-        ref = greedy_reduce(graph, backend="packed")
-        for backend in ("dense", "arena"):
-            got = greedy_reduce(graph, backend=backend)
-            assert got.operations == ref.operations, (family, backend)
-            assert got.num_emitters == ref.num_emitters, (family, backend)
-            assert got.to_circuit().gates == ref.to_circuit().gates, (
-                family,
-                backend,
-            )
-
-    def test_arena_via_process_default(self):
-        graph = percolated_lattice(4, 5, seed=3)
-        ref = greedy_reduce(graph, backend="packed")
-        with use_backend("arena"):
-            got = greedy_reduce(graph)
-        assert got.operations == ref.operations
-
-    def test_arena_beyond_word_boundary(self):
-        """A >64-vertex graph exercises multi-word arena rows end to end."""
-        graph = erdos_renyi_graph(70, seed=9)
-        ref = greedy_reduce(graph, backend="packed")
-        got = greedy_reduce(graph, backend="arena")
-        assert got.operations == ref.operations
-        assert got.num_emitters == ref.num_emitters
+        ref = greedy_reduce(graph, backend="dense")
+        got = greedy_reduce(graph, backend="packed")
+        assert got.operations == ref.operations, family
+        assert got.num_emitters == ref.num_emitters, family
+        assert got.to_circuit().gates == ref.to_circuit().gates, family
 
 
 class TestCutRankEngineBackends:
-    """CutRankEngine heights match across backends on the scenario zoo."""
+    """CutRankEngine heights match the dense evaluation on the scenario zoo."""
 
     @pytest.mark.parametrize("family", sorted(ZOO_GRAPHS))
     def test_heights_identical(self, family):
         graph = ZOO_GRAPHS[family]()
         ordering = list(graph.vertices())
-        heights = {
-            backend: CutRankEngine(graph, backend=backend).heights(ordering)
-            for backend in BACKEND_TRIPLE
-        }
-        assert heights["arena"] == heights["packed"] == heights["dense"], family
+        engine = CutRankEngine(graph).heights(ordering)
+        assert engine == height_function(graph, ordering, backend="dense"), family
+        assert engine == height_function(graph, ordering, backend="packed"), family
 
     def test_truncate_and_reevaluate_arena(self):
         graph = watts_strogatz_graph(12, k=4, seed=2)
         ordering = list(graph.vertices())
-        packed = CutRankEngine(graph, backend="packed")
-        arena = CutRankEngine(graph, backend="arena")
-        assert arena.heights(ordering) == packed.heights(ordering)
-        # Mutate a suffix: both engines re-evaluate from the checkpoint.
+        engine = CutRankEngine(graph)
+        assert engine.heights(ordering) == height_function(
+            graph, ordering, backend="dense"
+        )
+        # Mutate a suffix: the engine re-evaluates from the checkpoint.
         flipped = ordering[:5] + list(reversed(ordering[5:]))
-        assert arena.heights(flipped) == packed.heights(flipped)
+        assert engine.heights(flipped) == height_function(
+            graph, flipped, backend="dense"
+        )
 
     def test_engine_beyond_word_boundary(self):
         graph = erdos_renyi_graph(70, seed=4)
         ordering = list(graph.vertices())
-        assert (
-            CutRankEngine(graph, backend="arena").heights(ordering)
-            == CutRankEngine(graph, backend="packed").heights(ordering)
+        assert CutRankEngine(graph).heights(ordering) == height_function(
+            graph, ordering, backend="dense"
         )
