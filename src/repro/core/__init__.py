@@ -32,7 +32,11 @@ from repro.core.reduction import (
     ReductionState,
     forward_circuit_from_sequence,
 )
-from repro.core.packed_reduction import PackedReductionState, make_reduction_state
+from repro.core.packed_reduction import (
+    BitsetReductionState,
+    PackedReductionState,
+    make_reduction_state,
+)
 from repro.core.plan_scoring import score_sequence
 from repro.core.strategies import GreedyReductionStrategy, greedy_reduce
 from repro.core.subgraph_compiler import SubgraphCompilationResult, SubgraphCompiler
@@ -53,6 +57,7 @@ __all__ = [
     "get_process_cache",
     "reset_process_cache",
     "InsufficientEmittersError",
+    "BitsetReductionState",
     "PackedReductionState",
     "ReductionOp",
     "ReductionSequence",

@@ -50,6 +50,7 @@ from repro.graphs.entanglement import minimum_emitters
 from repro.graphs.graph_state import GraphState
 from repro.graphs.local_complementation import lc_correction_gates
 from repro.utils.backend import use_backend
+from repro.utils.misc import make_rng
 
 __all__ = ["CompilationResult", "EmitterCompiler", "compile_graph"]
 
@@ -175,10 +176,15 @@ class EmitterCompiler:
         # 3. Per-subgraph compilation under the flexible constraint.
         cache = self._subgraph_compiler.cache
         cache_before = cache.stats.snapshot() if cache is not None else None
+        # Leaves too large to canonicalise sample candidate orders from one
+        # generator per compile, so the same graph always gets the same circuit.
+        direct_rng = make_rng(config.seed)
         subgraph_results: list[dict[int, SubgraphCompilationResult]] = []
         for block in partition.blocks:
             subgraph = working_graph.induced_subgraph(block)
-            subgraph_results.append(self._subgraph_compiler.compile_flexible(subgraph))
+            subgraph_results.append(
+                self._subgraph_compiler.compile_flexible(subgraph, rng=direct_rng)
+            )
         subgraph_cache_stats = (
             cache.stats.delta(cache_before) if cache is not None else None
         )

@@ -1,33 +1,45 @@
 """Bitset-native reduction fast path.
 
-:class:`PackedReductionState` is a drop-in replacement for
-:class:`repro.core.reduction.ReductionState` that stores the working graph as
-one arbitrary-precision integer adjacency row per vertex — the same
-representation as :class:`repro.graphs.graph_state.PackedAdjacency` — instead
-of a tuple-keyed :class:`networkx` graph.  Vertex indices are fixed:
+:class:`BitsetReductionState` answers the rule-query protocol of
+:class:`repro.core.reduction.ReductionState` on one arbitrary-precision
+integer adjacency row per vertex — the same representation as
+:class:`repro.graphs.graph_state.PackedAdjacency` — instead of a tuple-keyed
+:class:`networkx` graph.  Rows are indexed by *slot*:
 
-* photon ``p`` occupies bit ``p`` (``0 <= p < num_photons``);
-* emitter ``e`` occupies bit ``num_photons + e`` (ids are allocated
+* photon slot ``s`` occupies bit ``s`` (``0 <= s < photon_slots``), and the
+  bitmask ``_alive`` marks the slots still in the working graph;
+* emitter ``e`` occupies bit ``photon_slots + e`` (ids are allocated
   sequentially, so the row list simply grows).
 
-Every reversed operation of the rewrite engine becomes a handful of word-run
-XOR/AND/mask updates (``O(n/64)`` per touched row), and the rule queries of
-the greedy strategy collapse to popcounts and row comparisons:
+Every ``photon`` argument is a slot; every emitted
+:class:`~repro.core.reduction.ReductionOp` names ``_name[slot]``.  The two
+concrete states differ only in that map:
+
+* :class:`PackedReductionState` loads a whole graph, slot ``i`` is photon
+  ``i`` (``_name = range(n)``) and :meth:`~PackedReductionState.finish`
+  returns a :class:`~repro.core.reduction.ReductionSequence`;
+* :class:`repro.core.streaming.StreamingReductionState` admits photons into
+  a bounded window, names them by global vertex id and recycles a slot once
+  its photon is removed.
+
+The greedy strategy reads only emitter ids from the queries, so the slot
+numbering cannot change any decision.  Every reversed operation becomes a
+handful of word-run XOR/AND/mask updates (``O(n/64)`` per touched row), and
+the rule queries collapse to popcounts and row comparisons:
 
 * degree = ``row.bit_count()``;
 * dangling test = ``row.bit_count() == 1``;
 * twin test = integer row equality;
 * photon/emitter neighbour splits = one mask and one shift.
 
-The class answers the exact rule-query protocol of
-:class:`~repro.core.reduction.ReductionState` (same tie-breaking, same
-emitter-pool bookkeeping), so the greedy strategy produces **bit-identical
-operation sequences** — and therefore bit-identical forward circuits — on
-either state.  The dict-based state remains the oracle;
-``tests/test_packed_reduction.py`` property-tests the equivalence across the
-scenario zoo.  Selection follows :mod:`repro.utils.backend` like the other
-GF(2) kernels: :func:`make_reduction_state` returns the packed state on the
-``packed`` backend and the networkx oracle on ``dense``.
+Same tie-breaking and pool bookkeeping as the oracle mean the greedy
+strategy produces **bit-identical operation sequences** — and therefore
+bit-identical forward circuits — on either state.  The dict-based state
+remains the oracle; ``tests/test_packed_reduction.py`` property-tests the
+equivalence across the scenario zoo.  Selection follows
+:mod:`repro.utils.backend` like the other GF(2) kernels:
+:func:`make_reduction_state` returns the packed state on the ``packed``
+backend and the networkx oracle on ``dense``.
 """
 
 from __future__ import annotations
@@ -45,21 +57,19 @@ from repro.graphs.graph_state import GraphState
 from repro.utils.backend import PACKED, resolve_backend
 from repro.utils.misc import iter_bits
 
-__all__ = ["PackedReductionState", "make_reduction_state"]
+__all__ = ["BitsetReductionState", "PackedReductionState", "make_reduction_state"]
 
 Vertex = Hashable
 
 
-class BitsetEmitterPool:
-    """Emitter-pool bookkeeping shared by the two bitset reduction states.
+class BitsetReductionState:
+    """Slot-indexed reduction state over integer-packed adjacency rows.
 
-    :class:`PackedReductionState` and
-    :class:`repro.core.streaming.StreamingReductionState` keep one integer
-    adjacency row per vertex in ``self._rows``, emitter ``e`` at row
-    ``emitter_offset + e`` (photon rows and bits below it), and hand
-    finished operations to ``self._emit`` (``operations.append`` unless a
-    subclass rebinds it).  This base owns everything that only touches
-    emitter rows and the pool, with the oracle's tie-breaking.
+    Subclasses fill photon rows and ``_alive`` and set ``_name``; this base
+    owns the rule queries, the seven reversed operations and the emitter
+    pool, with the oracle's tie-breaking.  Finished operations go to
+    ``self._emit`` (``operations.append`` unless a subclass rebinds it), and
+    a removed photon's slot goes to :meth:`_release`.
 
     Free pass.  Every write that activates an emitter or can empty an
     emitter's row (acquire, absorb-leaf, absorb-dangling, disconnect)
@@ -72,9 +82,18 @@ class BitsetEmitterPool:
     loses the photon's bit is also adjacent to the twin.
     """
 
-    def __init__(self, emitter_offset: int, emitter_budget: int | None, strict_budget: bool):
-        self._eoff = emitter_offset
-        self._photon_mask = (1 << emitter_offset) - 1
+    def __init__(
+        self,
+        photon_slots: int,
+        names: Sequence[int],
+        emitter_budget: int | None,
+        strict_budget: bool,
+    ):
+        self._eoff = photon_slots
+        self._photon_mask = (1 << photon_slots) - 1
+        self._rows: list[int] = [0] * photon_slots
+        self._alive = 0
+        self._name = names
         self.emitter_budget = emitter_budget
         self.strict_budget = bool(strict_budget)
         self.emitters_over_budget = 0
@@ -85,26 +104,73 @@ class BitsetEmitterPool:
         self.operations: list[ReductionOp] = []
         self._emit = self.operations.append
 
-    def _eidx(self, emitter: int) -> int:
-        return self._eoff + emitter
+    def _release(self, photon: int) -> None:
+        """Drop a photon whose row and neighbour bits are already cleared."""
+        self._alive &= ~(1 << photon)
 
-    def _ensure_row(self, emitter: int) -> None:
-        needed = self._eidx(emitter) + 1
-        if len(self._rows) < needed:
-            self._rows.extend([0] * (needed - len(self._rows)))
+    def _require_photon(self, photon: int) -> None:
+        if not (0 <= photon < self._eoff and (self._alive >> photon) & 1):
+            raise ValueError(f"photon {photon} is not in the working graph")
+
+    def _split(self, row: int) -> tuple[set[int], set[int]]:
+        """``row``'s neighbours as (photon names, emitter ids)."""
+        name = self._name
+        return (
+            {name[s] for s in iter_bits(row & self._photon_mask)},
+            set(iter_bits(row >> self._eoff)),
+        )
 
     # ------------------------------------------------------------------ #
-    # Emitter queries
+    # Queries
     # ------------------------------------------------------------------ #
+
+    def photon_in_graph(self, photon: int) -> bool:
+        return 0 <= photon < self._eoff and bool((self._alive >> photon) & 1)
+
+    def photon_degree(self, photon: int) -> int:
+        return self._rows[photon].bit_count()
+
+    def photon_neighbors(self, photon: int) -> tuple[set[int], set[int]]:
+        """Neighbours of a photon, split into (photon names, emitter ids)."""
+        return self._split(self._rows[photon])
+
+    def emitter_neighbors(self, emitter: int) -> tuple[set[int], set[int]]:
+        """Neighbours of an emitter, split into (photon names, emitter ids)."""
+        return self._split(self._rows[self._eoff + emitter])
 
     def emitter_degree(self, emitter: int) -> int:
-        return self._rows[self._eidx(emitter)].bit_count()
+        return self._rows[self._eoff + emitter].bit_count()
 
-    def _twin_of_row(self, row: int) -> int | None:
-        """First active emitter (ascending id) that is a non-adjacent twin of
-        the photon whose adjacency row is ``row``."""
+    # ------------------------------------------------------------------ #
+    # Rule queries (bit-identical to the dict-based oracle)
+    # ------------------------------------------------------------------ #
+
+    def photon_neighbor_counts(self, photon: int) -> tuple[int, int]:
+        """``(#photon neighbours, #emitter neighbours)`` of a photon."""
+        row = self._rows[photon]
+        return (row & self._photon_mask).bit_count(), (row >> self._eoff).bit_count()
+
+    def find_dangling_emitter(self, photon: int) -> int | None:
+        """Smallest emitter adjacent to ``photon`` whose only neighbour is it."""
+        off = self._eoff
+        for bit in iter_bits(self._rows[photon] >> off):
+            if self._rows[off + bit].bit_count() == 1:
+                return bit
+        return None
+
+    def find_leaf_host(self, photon: int) -> int | None:
+        """The emitter hosting ``photon`` when the photon has degree 1."""
+        row = self._rows[photon]
+        if row.bit_count() != 1:
+            return None
+        bit = row.bit_length() - 1
+        return bit - self._eoff if bit >= self._eoff else None
+
+    def find_twin_emitter(self, photon: int) -> int | None:
+        """First active emitter (ascending id) that is a non-adjacent twin."""
         rows = self._rows
         off = self._eoff
+        row = rows[photon]
         if row == 0:
             # Degenerate (never reached through the rule priority: isolated
             # photons are emitted before the twin query): fall back to the
@@ -127,6 +193,20 @@ class BitsetEmitterPool:
             if rows[off + emitter] == row:
                 return emitter
         return None
+
+    def disconnect_absorb_candidate(self, photon: int) -> tuple[int, int] | None:
+        """Best ``(cost, emitter)`` for the disconnect-absorb move, or ``None``."""
+        off = self._eoff
+        photon_bit = 1 << photon
+        best: tuple[int, int] | None = None
+        for e in iter_bits(self._rows[photon] >> off):
+            erow = self._rows[off + e]
+            if erow & self._photon_mask != photon_bit:
+                continue  # the emitter has other photon neighbours
+            cost = (erow >> off).bit_count()
+            if best is None or cost < best[0]:
+                best = (cost, e)
+        return best
 
     def liberation_candidate(self) -> tuple[int, int] | None:
         """Best ``(cost, emitter)`` freeable by disconnecting it, or ``None``."""
@@ -163,7 +243,7 @@ class BitsetEmitterPool:
                 self.emitters_over_budget += 1
             chosen = self.num_emitters_allocated
             self.num_emitters_allocated += 1
-            self._ensure_row(chosen)
+            self._rows.extend([0] * (self._eoff + chosen + 1 - len(self._rows)))
         self.free_emitters.discard(chosen)
         self.active_emitters.add(chosen)
         self._touched.add(chosen)
@@ -240,14 +320,118 @@ class BitsetEmitterPool:
         if self.active_emitters:  # pragma: no cover - defensive
             raise RuntimeError(f"emitters left active after finish: {self.active_emitters}")
 
+    # ------------------------------------------------------------------ #
+    # Reversed photon operations
+    # ------------------------------------------------------------------ #
 
-class PackedReductionState(BitsetEmitterPool):
-    """Mutable reduction state over integer-packed adjacency rows.
+    def _hand_over(self, photon: int, emitter_index: int, row: int) -> None:
+        """Give row ``emitter_index`` the neighbours ``row`` and detach ``photon``."""
+        rows = self._rows
+        photon_bit = 1 << photon
+        emitter_bit = 1 << emitter_index
+        rows[emitter_index] = row
+        for j in iter_bits(row):
+            rows[j] = (rows[j] & ~photon_bit) | emitter_bit
+        rows[photon] = 0
+
+    def apply_swap(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
+        """Replace ``photon`` by a free emitter; returns the emitter id used."""
+        self._require_photon(photon)
+        emitter_id = self.acquire_free_emitter(preferred=emitter)
+        self._hand_over(photon, self._eoff + emitter_id, self._rows[photon])
+        self._emit(
+            ReductionOp(
+                ReductionOpType.SWAP, emitter=emitter_id, photon=self._name[photon], tag=tag
+            )
+        )
+        self._release(photon)
+        return emitter_id
+
+    def apply_absorb_leaf(self, emitter: int, photon: int, tag: str = "") -> None:
+        """Absorb a photon that dangles on ``emitter`` (degree-1 photon)."""
+        self._require_photon(photon)
+        eidx = self._eoff + emitter
+        if self._rows[photon] != 1 << eidx:
+            raise ValueError(
+                f"photon {self._name[photon]} is not dangling on emitter {emitter}; "
+                "ABSORB_LEAF precondition violated"
+            )
+        self._rows[eidx] &= ~(1 << photon)
+        self._rows[photon] = 0
+        self._touched.add(emitter)
+        self._emit(
+            ReductionOp(
+                ReductionOpType.ABSORB_LEAF, emitter=emitter, photon=self._name[photon], tag=tag
+            )
+        )
+        self._release(photon)
+
+    def apply_absorb_dangling(self, emitter: int, photon: int, tag: str = "") -> None:
+        """Absorb ``photon`` into a dangling emitter that is attached to it."""
+        self._require_photon(photon)
+        eidx = self._eoff + emitter
+        if self._rows[eidx] != 1 << photon:
+            raise ValueError(
+                f"emitter {emitter} is not dangling on photon {self._name[photon]}; "
+                "ABSORB_DANGLING precondition violated"
+            )
+        self._hand_over(photon, eidx, self._rows[photon] & ~(1 << eidx))
+        self._touched.add(emitter)
+        self._emit(
+            ReductionOp(
+                ReductionOpType.ABSORB_DANGLING, emitter=emitter, photon=self._name[photon], tag=tag
+            )
+        )
+        self._release(photon)
+
+    def apply_absorb_twin(self, emitter: int, photon: int, tag: str = "") -> None:
+        """Absorb ``photon`` when it has exactly the emitter's neighbourhood."""
+        self._require_photon(photon)
+        eidx = self._eoff + emitter
+        row = self._rows[photon]
+        if (row >> eidx) & 1:
+            raise ValueError(
+                f"photon {self._name[photon]} and emitter {emitter} are adjacent; "
+                "ABSORB_TWIN requires non-adjacent twins"
+            )
+        if row != self._rows[eidx]:
+            raise ValueError(
+                f"photon {self._name[photon]} and emitter {emitter} are not twins; "
+                "ABSORB_TWIN precondition violated"
+            )
+        photon_bit = 1 << photon
+        for j in iter_bits(row):
+            self._rows[j] &= ~photon_bit
+        self._rows[photon] = 0
+        self._emit(
+            ReductionOp(
+                ReductionOpType.ABSORB_TWIN, emitter=emitter, photon=self._name[photon], tag=tag
+            )
+        )
+        self._release(photon)
+
+    def apply_emit_isolated(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
+        """Remove an isolated photon (forward: emit an unentangled photon)."""
+        self._require_photon(photon)
+        if self._rows[photon]:
+            raise ValueError(f"photon {self._name[photon]} is not isolated")
+        emitter_id = self._emission_source(emitter)
+        self._emit(
+            ReductionOp(
+                ReductionOpType.EMIT_ISOLATED, emitter=emitter_id, photon=self._name[photon], tag=tag
+            )
+        )
+        self._release(photon)
+        return emitter_id
+
+
+class PackedReductionState(BitsetReductionState):
+    """Whole-graph bitset state: a drop-in for the dict-based oracle.
 
     The public surface mirrors :class:`repro.core.reduction.ReductionState`
     exactly (construction, queries, the seven reversed operations, pool
-    bookkeeping and :meth:`finish`); only the storage differs.  See the
-    module docstring for the bit layout.
+    bookkeeping and :meth:`finish`); only the storage differs.  Slot ``i`` is
+    photon ``i``, so photon indices are used unchanged.
     """
 
     def __init__(
@@ -265,11 +449,11 @@ class PackedReductionState(BitsetEmitterPool):
             or len(vertices) != target_graph.num_vertices
         ):
             raise ValueError("photon_order must be a permutation of the target vertices")
-        super().__init__(len(vertices), emitter_budget, strict_budget)
+        n = len(vertices)
+        super().__init__(n, range(n), emitter_budget, strict_budget)
         self.photon_of_vertex: dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
-        self.num_photons = len(vertices)
-
-        self._alive_photons = self._photon_mask
+        self.num_photons = n
+        self._alive = self._photon_mask
         packed = target_graph.packed_adjacency()
         if photon_order is None or packed.index == self.photon_of_vertex:
             # The graph's cached packed rows already follow insertion order —
@@ -277,214 +461,22 @@ class PackedReductionState(BitsetEmitterPool):
             # many states over one subgraph; they all share the one snapshot.
             self._rows = list(packed.rows)
         else:
-            self._rows = [0] * self.num_photons
             for u, v in target_graph.edges():
                 i, j = self.photon_of_vertex[u], self.photon_of_vertex[v]
                 self._rows[i] |= 1 << j
                 self._rows[j] |= 1 << i
 
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-
     def remaining_photons(self) -> list[int]:
         """Photon indices still present in the working graph."""
-        return list(iter_bits(self._alive_photons))
-
-    def photon_in_graph(self, photon: int) -> bool:
-        if not 0 <= photon < self.num_photons:
-            return False
-        return bool((self._alive_photons >> photon) & 1)
-
-    def photon_neighbors(self, photon: int) -> tuple[set[int], set[int]]:
-        """Neighbours of a photon, split into (photon indices, emitter ids)."""
-        row = self._rows[photon]
-        return (
-            set(iter_bits(row & self._photon_mask)),
-            set(iter_bits(row >> self.num_photons)),
-        )
-
-    def emitter_neighbors(self, emitter: int) -> tuple[set[int], set[int]]:
-        """Neighbours of an emitter, split into (photon indices, emitter ids)."""
-        row = self._rows[self._eidx(emitter)]
-        return (
-            set(iter_bits(row & self._photon_mask)),
-            set(iter_bits(row >> self.num_photons)),
-        )
-
-    def photon_degree(self, photon: int) -> int:
-        return self._rows[photon].bit_count()
+        return list(iter_bits(self._alive))
 
     def is_done(self) -> bool:
         """True when every photon has been removed and every emitter is free."""
-        return not self._alive_photons and not self.active_emitters
-
-    # ------------------------------------------------------------------ #
-    # Rule queries (bit-identical to the dict-based oracle)
-    # ------------------------------------------------------------------ #
-
-    def photon_neighbor_counts(self, photon: int) -> tuple[int, int]:
-        """``(#photon neighbours, #emitter neighbours)`` of a photon."""
-        row = self._rows[photon]
-        return (row & self._photon_mask).bit_count(), (row >> self.num_photons).bit_count()
-
-    def find_dangling_emitter(self, photon: int) -> int | None:
-        """Smallest emitter adjacent to ``photon`` whose only neighbour is it."""
-        n = self.num_photons
-        for bit in iter_bits(self._rows[photon] >> n):
-            if self._rows[n + bit].bit_count() == 1:
-                return bit
-        return None
-
-    def find_leaf_host(self, photon: int) -> int | None:
-        """The emitter hosting ``photon`` when the photon has degree 1."""
-        row = self._rows[photon]
-        if row.bit_count() != 1:
-            return None
-        bit = row.bit_length() - 1
-        return bit - self.num_photons if bit >= self.num_photons else None
-
-    def find_twin_emitter(self, photon: int) -> int | None:
-        """First active emitter (ascending id) that is a non-adjacent twin."""
-        return self._twin_of_row(self._rows[photon])
-
-    def disconnect_absorb_candidate(self, photon: int) -> tuple[int, int] | None:
-        """Best ``(cost, emitter)`` for the disconnect-absorb move, or ``None``."""
-        n = self.num_photons
-        photon_bit = 1 << photon
-        best: tuple[int, int] | None = None
-        for e in iter_bits(self._rows[photon] >> n):
-            erow = self._rows[n + e]
-            if erow & self._photon_mask != photon_bit:
-                continue  # the emitter has other photon neighbours
-            cost = (erow >> n).bit_count()
-            if best is None or cost < best[0]:
-                best = (cost, e)
-        return best
-
-    # ------------------------------------------------------------------ #
-    # Row update helpers
-    # ------------------------------------------------------------------ #
-
-    def _remove_vertex_bit(self, index: int) -> None:
-        """Clear ``index``'s bit from every neighbour row and zero its row."""
-        bit = 1 << index
-        for j in iter_bits(self._rows[index]):
-            self._rows[j] &= ~bit
-        self._rows[index] = 0
-
-    def _replace_photon_by_emitter(self, photon: int, emitter_index: int) -> None:
-        """Move ``photon``'s neighbourhood onto row ``emitter_index``."""
-        row = self._rows[photon]
-        photon_bit = 1 << photon
-        emitter_bit = 1 << emitter_index
-        self._rows[emitter_index] = row
-        for j in iter_bits(row):
-            self._rows[j] = (self._rows[j] & ~photon_bit) | emitter_bit
-        self._rows[photon] = 0
-
-    # ------------------------------------------------------------------ #
-    # Reversed operations
-    # ------------------------------------------------------------------ #
-
-    def apply_swap(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
-        """Replace ``photon`` by a free emitter; returns the emitter id used."""
-        if not self.photon_in_graph(photon):
-            raise ValueError(f"photon {photon} is not in the working graph")
-        emitter_id = self.acquire_free_emitter(preferred=emitter)
-        self._replace_photon_by_emitter(photon, self._eidx(emitter_id))
-        self._alive_photons &= ~(1 << photon)
-        self.operations.append(
-            ReductionOp(ReductionOpType.SWAP, emitter=emitter_id, photon=photon, tag=tag)
-        )
-        return emitter_id
-
-    def apply_absorb_leaf(self, emitter: int, photon: int, tag: str = "") -> None:
-        """Absorb a photon that dangles on ``emitter`` (degree-1 photon)."""
-        if not self.photon_in_graph(photon):
-            raise ValueError(f"photon {photon} is not in the working graph")
-        eidx = self._eidx(emitter)
-        if self._rows[photon] != 1 << eidx:
-            raise ValueError(
-                f"photon {photon} is not dangling on emitter {emitter}; "
-                "ABSORB_LEAF precondition violated"
-            )
-        self._rows[eidx] &= ~(1 << photon)
-        self._rows[photon] = 0
-        self._alive_photons &= ~(1 << photon)
-        self._touched.add(emitter)
-        self.operations.append(
-            ReductionOp(ReductionOpType.ABSORB_LEAF, emitter=emitter, photon=photon, tag=tag)
-        )
-
-    def apply_absorb_dangling(self, emitter: int, photon: int, tag: str = "") -> None:
-        """Absorb ``photon`` into a dangling emitter that is attached to it."""
-        if not self.photon_in_graph(photon):
-            raise ValueError(f"photon {photon} is not in the working graph")
-        eidx = self._eidx(emitter)
-        if self._rows[eidx] != 1 << photon:
-            raise ValueError(
-                f"emitter {emitter} is not dangling on photon {photon}; "
-                "ABSORB_DANGLING precondition violated"
-            )
-        photon_bit = 1 << photon
-        emitter_bit = 1 << eidx
-        inherited = self._rows[photon] & ~emitter_bit
-        self._rows[eidx] = inherited
-        for j in iter_bits(inherited):
-            self._rows[j] = (self._rows[j] & ~photon_bit) | emitter_bit
-        self._rows[photon] = 0
-        self._alive_photons &= ~photon_bit
-        self._touched.add(emitter)
-        self.operations.append(
-            ReductionOp(
-                ReductionOpType.ABSORB_DANGLING, emitter=emitter, photon=photon, tag=tag
-            )
-        )
-
-    def apply_absorb_twin(self, emitter: int, photon: int, tag: str = "") -> None:
-        """Absorb ``photon`` when it has exactly the emitter's neighbourhood."""
-        if not self.photon_in_graph(photon):
-            raise ValueError(f"photon {photon} is not in the working graph")
-        eidx = self._eidx(emitter)
-        if (self._rows[photon] >> eidx) & 1:
-            raise ValueError(
-                f"photon {photon} and emitter {emitter} are adjacent; "
-                "ABSORB_TWIN requires non-adjacent twins"
-            )
-        if self._rows[photon] != self._rows[eidx]:
-            raise ValueError(
-                f"photon {photon} and emitter {emitter} are not twins; "
-                "ABSORB_TWIN precondition violated"
-            )
-        self._remove_vertex_bit(photon)
-        self._alive_photons &= ~(1 << photon)
-        self.operations.append(
-            ReductionOp(ReductionOpType.ABSORB_TWIN, emitter=emitter, photon=photon, tag=tag)
-        )
-
-    def apply_emit_isolated(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
-        """Remove an isolated photon (forward: emit an unentangled photon)."""
-        if not self.photon_in_graph(photon):
-            raise ValueError(f"photon {photon} is not in the working graph")
-        if self._rows[photon]:
-            raise ValueError(f"photon {photon} is not isolated")
-        emitter_id = self._emission_source(emitter)
-        self._alive_photons &= ~(1 << photon)
-        self.operations.append(
-            ReductionOp(
-                ReductionOpType.EMIT_ISOLATED, emitter=emitter_id, photon=photon, tag=tag
-            )
-        )
-        return emitter_id
-
-    # ------------------------------------------------------------------ #
-    # Finishing
-    # ------------------------------------------------------------------ #
+        return not self._alive and not self.active_emitters
 
     def finish(self, tag: str = "") -> ReductionSequence:
         """Disconnect leftover emitter edges, free emitters, return the sequence."""
-        if self._alive_photons:
+        if self._alive:
             raise RuntimeError(
                 "cannot finish the reduction: photons remain in the working graph "
                 f"({self.remaining_photons()})"

@@ -259,8 +259,9 @@ class ReductionState:
     # The greedy strategy (:mod:`repro.core.strategies`) drives photon
     # removal exclusively through these queries, so any state implementation
     # that answers them identically produces bit-identical op sequences.
-    # :class:`repro.core.packed_reduction.PackedReductionState` implements the
-    # same queries on word-packed adjacency rows.
+    # :class:`repro.core.packed_reduction.BitsetReductionState` implements the
+    # same queries once on word-packed adjacency rows, for both the
+    # whole-graph and the streaming bitset state.
     # ------------------------------------------------------------------ #
 
     def photon_neighbor_counts(self, photon: int) -> tuple[int, int]:

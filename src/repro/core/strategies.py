@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence, Union
 
-from repro.core.packed_reduction import PackedReductionState, make_reduction_state
+from repro.core.packed_reduction import BitsetReductionState, make_reduction_state
 from repro.core.reduction import (
     InsufficientEmittersError,
     ReductionSequence,
@@ -51,8 +51,9 @@ Vertex = Hashable
 
 #: Either working-graph representation; both answer the same rule-query
 #: protocol with identical tie-breaking, so the strategy below is
-#: representation-agnostic and produces bit-identical op sequences.
-AnyReductionState = Union[ReductionState, PackedReductionState]
+#: representation-agnostic and produces bit-identical op sequences.  A
+#: bitset state takes photon slots, which only the caller interprets.
+AnyReductionState = Union[ReductionState, BitsetReductionState]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ Correctness argument.  The greedy rule engine
 * the emitter pool bookkeeping,
 
 so a windowed state answers every query identically to the whole-graph state
-**provided all neighbours of the photon being reduced are admitted**.  The
+**provided all neighbours of the photon being reduced are admitted**.  Both
+are the same :class:`~repro.core.packed_reduction.BitsetReductionState`; the
+window only maps photons to recycled slots and names each operation's photon
+by its global vertex id.  The
 driver admits regions in descending order and reduces region ``j + 1`` only
 after region ``j`` is present; the specs' region locality contract (edges
 span at most one region, or reach a pinned hub admitted up front) then
@@ -36,32 +39,29 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.packed_reduction import BitsetEmitterPool
+from repro.core.packed_reduction import BitsetReductionState
 from repro.core.reduction import ReductionOp, ReductionOpType
 from repro.core.strategies import GreedyReductionStrategy, reduce_photon
-from repro.utils.misc import iter_bits
 
 __all__ = ["StreamCompileResult", "StreamingReductionState", "compile_stream"]
 
 OpSink = Callable[[ReductionOp], None]
 
 
-class StreamingReductionState(BitsetEmitterPool):
-    """Windowed reduction state: bounded slots, global photon ids, op sink.
+class StreamingReductionState(BitsetReductionState):
+    """Windowed reduction state: bounded slots, global photon names, op sink.
 
     Photons are *admitted* into one of ``window_capacity`` slots (bit ``s``
     for slot ``s``, emitter ``e`` at bit ``window_capacity + e``) and their
-    slots are recycled once the reduction detaches them.  The rule-query
-    protocol is the same as :class:`repro.core.reduction.ReductionState` —
-    identical tie-breaking, identical pool bookkeeping — except that photons
-    are named by their **global** vertex id (the admitted window translates
-    to slots internally), so emitted operations carry the same ids as a
-    whole-graph reduction over the same processing order.
+    slots are recycled once the reduction removes them.  Queries and
+    rewrites take the slot (``_slot_of[vertex]``); emitted operations name
+    the **global** vertex id, so they carry the same ids as a whole-graph
+    reduction over the same processing order.
 
     Operations go to ``op_sink`` when given (constant memory); otherwise they
     accumulate in ``self.operations`` for the small-size oracle tests.  The
-    emitter pool, emitter-only operations and the free pass come from
-    :class:`~repro.core.packed_reduction.BitsetEmitterPool`.
+    rule queries, the rewrites, the emitter pool and the free pass come from
+    :class:`~repro.core.packed_reduction.BitsetReductionState`.
     """
 
     def __init__(
@@ -73,25 +73,19 @@ class StreamingReductionState(BitsetEmitterPool):
     ):
         if window_capacity < 1:
             raise ValueError(f"window_capacity must be >= 1, got {window_capacity}")
-        self._cap = int(window_capacity)
-        super().__init__(self._cap, emitter_budget, strict_budget)
-        self._rows: list[int] = [0] * self._cap
+        cap = int(window_capacity)
+        super().__init__(cap, [-1] * cap, emitter_budget, strict_budget)
         self._slot_of: dict[int, int] = {}
-        self._global_of: list[int | None] = [None] * self._cap
-        self._free_slots = list(range(self._cap - 1, -1, -1))
+        self._free_slots = list(range(cap - 1, -1, -1))
         self.peak_window_photons = 0
         self.photons_admitted = 0
         self.photons_reduced = 0
         if op_sink is not None:
             self._emit = op_sink
 
-    # ------------------------------------------------------------------ #
-    # Window management
-    # ------------------------------------------------------------------ #
-
     @property
     def window_capacity(self) -> int:
-        return self._cap
+        return self._eoff
 
     @property
     def window_size(self) -> int:
@@ -104,13 +98,13 @@ class StreamingReductionState(BitsetEmitterPool):
             raise ValueError(f"photon {photon} is already admitted")
         if not self._free_slots:
             raise RuntimeError(
-                f"streaming window capacity {self._cap} exhausted; the spec's "
+                f"streaming window capacity {self._eoff} exhausted; the spec's "
                 "region locality contract is violated or the window is too small"
             )
         slot = self._free_slots.pop()
-        self._rows[slot] = 0
         self._slot_of[photon] = slot
-        self._global_of[slot] = photon
+        self._name[slot] = photon
+        self._alive |= 1 << slot
         self.photons_admitted += 1
         if len(self._slot_of) > self.peak_window_photons:
             self.peak_window_photons = len(self._slot_of)
@@ -123,181 +117,12 @@ class StreamingReductionState(BitsetEmitterPool):
         self._rows[su] |= 1 << sv
         self._rows[sv] |= 1 << su
 
-    def _release(self, photon: int) -> None:
-        """Recycle the slot of a fully-detached photon."""
-        slot = self._slot_of.pop(photon)
-        self._rows[slot] = 0
-        self._global_of[slot] = None
+    def _release(self, slot: int) -> None:
+        """Drop a removed photon and recycle its slot."""
+        self._alive &= ~(1 << slot)
+        del self._slot_of[self._name[slot]]
         self._free_slots.append(slot)
         self.photons_reduced += 1
-
-    # ------------------------------------------------------------------ #
-    # Rule-query protocol (identical tie-breaking to the oracle)
-    # ------------------------------------------------------------------ #
-
-    def photon_in_graph(self, photon: int) -> bool:
-        return photon in self._slot_of
-
-    def photon_degree(self, photon: int) -> int:
-        return self._rows[self._slot_of[photon]].bit_count()
-
-    def photon_neighbors(self, photon: int) -> tuple[set[int], set[int]]:
-        """Neighbours of a photon, split into (global photon ids, emitter ids)."""
-        row = self._rows[self._slot_of[photon]]
-        return (
-            {self._global_of[s] for s in iter_bits(row & self._photon_mask)},
-            set(iter_bits(row >> self._cap)),
-        )
-
-    def emitter_neighbors(self, emitter: int) -> tuple[set[int], set[int]]:
-        """Neighbours of an emitter, split into (global photon ids, emitter ids)."""
-        row = self._rows[self._eidx(emitter)]
-        return (
-            {self._global_of[s] for s in iter_bits(row & self._photon_mask)},
-            set(iter_bits(row >> self._cap)),
-        )
-
-    def photon_neighbor_counts(self, photon: int) -> tuple[int, int]:
-        row = self._rows[self._slot_of[photon]]
-        return (row & self._photon_mask).bit_count(), (row >> self._cap).bit_count()
-
-    def find_dangling_emitter(self, photon: int) -> int | None:
-        for bit in iter_bits(self._rows[self._slot_of[photon]] >> self._cap):
-            if self._rows[self._cap + bit].bit_count() == 1:
-                return bit
-        return None
-
-    def find_leaf_host(self, photon: int) -> int | None:
-        row = self._rows[self._slot_of[photon]]
-        if row.bit_count() != 1:
-            return None
-        bit = row.bit_length() - 1
-        return bit - self._cap if bit >= self._cap else None
-
-    def find_twin_emitter(self, photon: int) -> int | None:
-        return self._twin_of_row(self._rows[self._slot_of[photon]])
-
-    def disconnect_absorb_candidate(self, photon: int) -> tuple[int, int] | None:
-        slot = self._slot_of[photon]
-        photon_bit = 1 << slot
-        best: tuple[int, int] | None = None
-        for e in iter_bits(self._rows[slot] >> self._cap):
-            erow = self._rows[self._cap + e]
-            if erow & self._photon_mask != photon_bit:
-                continue
-            cost = (erow >> self._cap).bit_count()
-            if best is None or cost < best[0]:
-                best = (cost, e)
-        return best
-
-    # ------------------------------------------------------------------ #
-    # Reversed operations (slot-space rows, global-id operations)
-    # ------------------------------------------------------------------ #
-
-    def _replace_slot_by_emitter(self, slot: int, emitter_index: int) -> None:
-        row = self._rows[slot]
-        slot_bit = 1 << slot
-        emitter_bit = 1 << emitter_index
-        self._rows[emitter_index] = row
-        for j in iter_bits(row):
-            self._rows[j] = (self._rows[j] & ~slot_bit) | emitter_bit
-        self._rows[slot] = 0
-
-    def apply_swap(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
-        if photon not in self._slot_of:
-            raise ValueError(f"photon {photon} is not in the working graph")
-        emitter_id = self.acquire_free_emitter(preferred=emitter)
-        self._replace_slot_by_emitter(self._slot_of[photon], self._eidx(emitter_id))
-        self._release(photon)
-        self._emit(
-            ReductionOp(ReductionOpType.SWAP, emitter=emitter_id, photon=photon, tag=tag)
-        )
-        return emitter_id
-
-    def apply_absorb_leaf(self, emitter: int, photon: int, tag: str = "") -> None:
-        if photon not in self._slot_of:
-            raise ValueError(f"photon {photon} is not in the working graph")
-        slot = self._slot_of[photon]
-        eidx = self._eidx(emitter)
-        if self._rows[slot] != 1 << eidx:
-            raise ValueError(
-                f"photon {photon} is not dangling on emitter {emitter}; "
-                "ABSORB_LEAF precondition violated"
-            )
-        self._rows[eidx] &= ~(1 << slot)
-        self._rows[slot] = 0
-        self._release(photon)
-        self._touched.add(emitter)
-        self._emit(
-            ReductionOp(ReductionOpType.ABSORB_LEAF, emitter=emitter, photon=photon, tag=tag)
-        )
-
-    def apply_absorb_dangling(self, emitter: int, photon: int, tag: str = "") -> None:
-        if photon not in self._slot_of:
-            raise ValueError(f"photon {photon} is not in the working graph")
-        slot = self._slot_of[photon]
-        eidx = self._eidx(emitter)
-        if self._rows[eidx] != 1 << slot:
-            raise ValueError(
-                f"emitter {emitter} is not dangling on photon {photon}; "
-                "ABSORB_DANGLING precondition violated"
-            )
-        slot_bit = 1 << slot
-        emitter_bit = 1 << eidx
-        inherited = self._rows[slot] & ~emitter_bit
-        self._rows[eidx] = inherited
-        for j in iter_bits(inherited):
-            self._rows[j] = (self._rows[j] & ~slot_bit) | emitter_bit
-        self._rows[slot] = 0
-        self._release(photon)
-        self._touched.add(emitter)
-        self._emit(
-            ReductionOp(
-                ReductionOpType.ABSORB_DANGLING, emitter=emitter, photon=photon, tag=tag
-            )
-        )
-
-    def apply_absorb_twin(self, emitter: int, photon: int, tag: str = "") -> None:
-        if photon not in self._slot_of:
-            raise ValueError(f"photon {photon} is not in the working graph")
-        slot = self._slot_of[photon]
-        eidx = self._eidx(emitter)
-        if (self._rows[slot] >> eidx) & 1:
-            raise ValueError(
-                f"photon {photon} and emitter {emitter} are adjacent; "
-                "ABSORB_TWIN requires non-adjacent twins"
-            )
-        if self._rows[slot] != self._rows[eidx]:
-            raise ValueError(
-                f"photon {photon} and emitter {emitter} are not twins; "
-                "ABSORB_TWIN precondition violated"
-            )
-        slot_bit = 1 << slot
-        for j in iter_bits(self._rows[slot]):
-            self._rows[j] &= ~slot_bit
-        self._rows[slot] = 0
-        self._release(photon)
-        self._emit(
-            ReductionOp(ReductionOpType.ABSORB_TWIN, emitter=emitter, photon=photon, tag=tag)
-        )
-
-    def apply_emit_isolated(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
-        if photon not in self._slot_of:
-            raise ValueError(f"photon {photon} is not in the working graph")
-        if self._rows[self._slot_of[photon]]:
-            raise ValueError(f"photon {photon} is not isolated")
-        emitter_id = self._emission_source(emitter)
-        self._release(photon)
-        self._emit(
-            ReductionOp(
-                ReductionOpType.EMIT_ISOLATED, emitter=emitter_id, photon=photon, tag=tag
-            )
-        )
-        return emitter_id
-
-    # ------------------------------------------------------------------ #
-    # Finishing
-    # ------------------------------------------------------------------ #
 
     def finish(self, tag: str = "") -> None:
         """Disconnect leftover emitter edges and free every emitter."""
@@ -398,9 +223,11 @@ def compile_stream(
         op_sink=sink,
     )
 
+    slot_of = state._slot_of
+
     def reduce_region(vertices) -> None:
         for vertex in reversed(vertices):
-            reduce_photon(state, vertex, strategy, tag)
+            reduce_photon(state, slot_of[vertex], strategy, tag)
             if strategy.free_isolated_eagerly:
                 state.free_isolated_emitters(tag=tag)
 

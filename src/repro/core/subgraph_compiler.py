@@ -196,7 +196,6 @@ class SubgraphCompiler:
         cache: SubgraphCompileCache | None = None,
     ):
         self.config = config if config is not None else CompilerConfig()
-        self._rng = make_rng(self.config.seed)
         self._fingerprint = config_fingerprint(self.config)
         if cache is not None:
             self.cache = cache
@@ -397,6 +396,7 @@ class SubgraphCompiler:
         emitter_budget: int | None = None,
         seeded_order: Sequence[Vertex] | None = None,
         canonical: CanonicalForm | None = None,
+        rng: np.random.Generator | None = None,
     ) -> tuple[SubgraphCompilationResult, int]:
         """:meth:`compile` plus the search's ``search_max_emitters``."""
         if subgraph.num_vertices == 0:
@@ -406,7 +406,7 @@ class SubgraphCompiler:
         if canonical is None:
             canonical = self._canonicalize(subgraph)
         if canonical is None:
-            return self._compile_direct(subgraph, emitter_budget, seeded_order)
+            return self._compile_direct(subgraph, emitter_budget, seeded_order, rng)
 
         canon_graph: GraphState | None = None
         if seeded_order is not None:
@@ -443,14 +443,22 @@ class SubgraphCompiler:
         subgraph: GraphState,
         emitter_budget: int,
         seeded_order: Sequence[Vertex] | None,
+        rng: np.random.Generator | None,
     ) -> tuple[SubgraphCompilationResult, int]:
-        """The uncached search on the subgraph's own labels (large leaves)."""
+        """The uncached search on the subgraph's own labels (large leaves).
+
+        ``rng`` samples the candidate orders; ``None`` seeds a fresh one from
+        ``config.seed``, so a standalone call does not depend on history.
+        """
         if seeded_order is None:
             optimised = self._optimised_ordering(subgraph)
             if optimised is not None:
                 seeded_order = list(reversed(optimised.ordering))
         order, sequence, evaluated, search_max = self._search(
-            subgraph, emitter_budget, seeded_order, self._rng
+            subgraph,
+            emitter_budget,
+            seeded_order,
+            rng if rng is not None else make_rng(self.config.seed),
         )
         circuit = sequence.to_circuit()
         metrics = compute_metrics(
@@ -471,7 +479,7 @@ class SubgraphCompiler:
         return result, search_max
 
     def compile_flexible(
-        self, subgraph: GraphState
+        self, subgraph: GraphState, rng: np.random.Generator | None = None
     ) -> dict[int, SubgraphCompilationResult]:
         """Compile under the flexible resource constraint.
 
@@ -483,11 +491,20 @@ class SubgraphCompiler:
         for every larger budget instead of re-searching — such a shared
         object keeps the ``emitter_budget`` of the search that produced it
         (the dict key, not the field, names the budget slot).
+
+        ``rng`` samples candidate orders for a leaf too large to canonicalise
+        (canonical leaves derive theirs from the canonical key).
+        :class:`~repro.core.compiler.EmitterCompiler` passes one generator,
+        seeded from ``config.seed`` per top-level compile, to every leaf, so
+        compiling the same graph twice gives the same circuit.  ``None``
+        seeds a fresh one from ``config.seed`` for this call.
         """
         if subgraph.num_vertices == 0:
             raise ValueError("cannot compile an empty subgraph")
         base = minimum_emitters(subgraph)
         canonical = self._canonicalize(subgraph)
+        if rng is None:
+            rng = make_rng(self.config.seed)
         seeded_order: list[Vertex] | None = None
         if self.config.ordering_strategy != "natural":
             # One search serves every budget: it certifies a (possibly lower)
@@ -515,7 +532,7 @@ class SubgraphCompiler:
                 results[budget] = previous[0]
                 continue
             result, search_max = self._compile_with_info(
-                subgraph, budget, seeded_order, canonical
+                subgraph, budget, seeded_order, canonical, rng
             )
             results[budget] = result
             previous = (result, budget, search_max)

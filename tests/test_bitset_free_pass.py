@@ -15,8 +15,10 @@ that bookkeeping:
 * a tight non-strict ``emitter_budget`` — drives the liberation path and
   over-budget allocation.
 
-The three op sequences must be equal, and after every eager free pass no
-active emitter of a bitset state may have an empty row.
+The streaming state admits the photons in a shuffled order, so its slots
+differ from the photon indices the other two states use.  The three op
+sequences must be equal, and after every eager free pass no active emitter
+of a bitset state may have an empty row.
 """
 
 from __future__ import annotations
@@ -53,15 +55,23 @@ def make_strategy(kind: str, budget: int) -> GreedyReductionStrategy:
     return GreedyReductionStrategy(emitter_budget=budget, strict_budget=False)
 
 
-def streaming_state(graph, strategy) -> StreamingReductionState:
-    """A window holding the whole graph, photons named by vertex index."""
+def streaming_state(graph, strategy, seed: int | None = None) -> StreamingReductionState:
+    """A window holding the whole graph, photons named by vertex index.
+
+    With a ``seed`` the photons are admitted in a shuffled order, so a
+    photon's slot differs from its index and only the state's slot-to-name
+    translation makes the emitted operations match the oracle's.
+    """
     index = {v: i for i, v in enumerate(graph.vertices())}
     state = StreamingReductionState(
         graph.num_vertices,
         emitter_budget=strategy.emitter_budget,
         strict_budget=strategy.strict_budget,
     )
-    for photon in range(graph.num_vertices):
+    admission = list(range(graph.num_vertices))
+    if seed is not None:
+        np.random.default_rng(seed).shuffle(admission)
+    for photon in admission:
         state.admit_photon(photon)
     for u, v in graph.edges():
         state.add_edge(index[u], index[v])
@@ -69,8 +79,10 @@ def streaming_state(graph, strategy) -> StreamingReductionState:
 
 
 def drive(state, order, strategy, check_pool: bool):
+    """Reduce ``order`` (photon indices), passing a streaming state its slots."""
+    slot_of = getattr(state, "_slot_of", None)
     for photon in order:
-        reduce_photon(state, photon, strategy)
+        reduce_photon(state, photon if slot_of is None else slot_of[photon], strategy)
         if strategy.free_isolated_eagerly:
             state.free_isolated_emitters()
             if check_pool:
@@ -98,7 +110,9 @@ def test_bitset_states_match_oracle_on_large_graphs(graph_choice, kind, budget, 
     kwargs = dict(emitter_budget=strategy.emitter_budget, strict_budget=strategy.strict_budget)
     dense = drive(ReductionState(graph, **kwargs), order, strategy, check_pool=False)
     packed = drive(PackedReductionState(graph, **kwargs), order, strategy, check_pool=True)
-    streamed = drive(streaming_state(graph, strategy), order, strategy, check_pool=True)
+    streamed_state = streaming_state(graph, strategy, seed=seed + 1)
+    assert any(streamed_state._slot_of[i] != i for i in range(graph.num_vertices))
+    streamed = drive(streamed_state, order, strategy, check_pool=True)
 
     assert packed.operations == dense.operations
     assert streamed.operations == dense.operations

@@ -8,6 +8,7 @@ from repro.core.compiler import EmitterCompiler
 from repro.core.config import CompilerConfig
 from repro.graphs.generators import (
     complete_graph,
+    erdos_renyi_graph,
     lattice_graph,
     linear_cluster,
     random_tree,
@@ -146,3 +147,18 @@ class TestConfiguration:
         other = config.with_overrides(lc_budget=3)
         assert other.lc_budget == 3
         assert config.lc_budget == 15
+
+
+class TestDeterminism:
+    def test_recompiling_with_one_compiler_repeats_the_circuit(self):
+        """Leaves above the canonical-form size take the direct search, whose
+        candidate orders are sampled; the sampler restarts from the seed at
+        every compile, so a reused compiler does not depend on its history."""
+        graph = erdos_renyi_graph(40, 0.12, seed=3)
+        config = CompilerConfig(max_subgraph_size=16, subgraph_cache=False)
+        compiler = EmitterCompiler(config)
+        first = compiler.compile(graph)
+        second = compiler.compile(graph)
+        fresh = EmitterCompiler(config).compile(graph)
+        assert second.circuit.gates == first.circuit.gates
+        assert fresh.circuit.gates == first.circuit.gates

@@ -99,8 +99,20 @@ class TestPortfolioProperties:
         assert anytime.quality <= quality_key(natural)
 
     @given(st.sampled_from(ZOO), st.integers(0, 40))
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=3, deadline=None)
     def test_quality_monotone_in_budget(self, famsize, seed):
+        self.check_quality_monotone_in_budget(famsize, seed)
+
+    @pytest.mark.slow
+    @given(st.sampled_from(ZOO), st.integers(0, 40))
+    @settings(max_examples=8, deadline=None)
+    def test_quality_monotone_in_budget_eight_examples(self, famsize, seed):
+        self.check_quality_monotone_in_budget(famsize, seed)
+
+    @staticmethod
+    def check_quality_monotone_in_budget(famsize, seed):
+        """Each example compiles the graph once per budget, which makes it
+        slow: tier-1 draws 3 examples, the slow suite the full 8."""
         family, size = famsize
         graph = zoo_graph(family, size, seed)
         config = small_config()
