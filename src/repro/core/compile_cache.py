@@ -56,7 +56,7 @@ __all__ = [
 
 #: Bump when the entry layout or the search semantics change; stale disk
 #: entries with another version are ignored (treated as misses).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Environment variable naming the persistent disk-tier directory.  Read at
 #: process-cache creation time so ``ProcessPoolExecutor`` workers (which
@@ -129,10 +129,13 @@ class CacheStats:
 class CachedCompilation:
     """One memoized leaf compilation, in canonical labels.
 
-    ``search_max_emitters`` is the largest emitter pool any *candidate* of
-    the search allocated; when it is strictly below the budget the search
-    never felt budget pressure, so the identical result is provably optimal
-    for every larger budget too (the flexible-constraint skip).
+    ``search_max_emitters`` is ``min(largest emitter pool any candidate of
+    the search allocated, emitter budget)``; when it is strictly below the
+    budget the search never felt budget pressure, so the identical result is
+    provably optimal for every larger budget too (the flexible-constraint
+    skip).  It is capped at the budget because the search stops looking at
+    allocations once one candidate reaches the budget (schema version 2; a
+    version-1 entry stored the uncapped maximum).
     """
 
     processing_order: tuple[int, ...]

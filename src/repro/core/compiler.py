@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.circuit.circuit import Circuit
@@ -44,8 +44,12 @@ from repro.core.partition import GraphPartitioner, PartitionResult
 from repro.core.plan_scoring import score_sequence
 from repro.core.reduction import ReductionSequence
 from repro.core.scheduler import SchedulePlan, SubgraphScheduler
-from repro.core.strategies import GreedyReductionStrategy, reduce_photon
-from repro.core.subgraph_compiler import SubgraphCompilationResult, SubgraphCompiler
+from repro.core.strategies import GreedyReductionStrategy, reduce_and_free
+from repro.core.subgraph_compiler import (
+    LeafSearchStats,
+    SubgraphCompilationResult,
+    SubgraphCompiler,
+)
 from repro.graphs.entanglement import minimum_emitters
 from repro.graphs.graph_state import GraphState
 from repro.graphs.local_complementation import lc_correction_gates
@@ -84,6 +88,11 @@ class CompilationResult:
     #: deterministic function of the job for content-hash result caching to
     #: be sound.
     subgraph_cache_stats: dict[str, float] | None = None
+    #: Work of the leaf-order searches this compilation ran (a subgraph
+    #: cache hit adds nothing).  Deterministic for a given job and cache
+    #: state, but kept out of :meth:`summary` for the same reason as the
+    #: cache counters: a warm cache changes it without changing the circuit.
+    leaf_search_stats: LeafSearchStats = field(default_factory=LeafSearchStats)
 
     @property
     def num_emitter_emitter_cnots(self) -> int:
@@ -179,11 +188,14 @@ class EmitterCompiler:
         # Leaves too large to canonicalise sample candidate orders from one
         # generator per compile, so the same graph always gets the same circuit.
         direct_rng = make_rng(config.seed)
+        leaf_search_stats = LeafSearchStats()
         subgraph_results: list[dict[int, SubgraphCompilationResult]] = []
         for block in partition.blocks:
             subgraph = working_graph.induced_subgraph(block)
             subgraph_results.append(
-                self._subgraph_compiler.compile_flexible(subgraph, rng=direct_rng)
+                self._subgraph_compiler.compile_flexible(
+                    subgraph, rng=direct_rng, stats=leaf_search_stats
+                )
             )
         subgraph_cache_stats = (
             cache.stats.delta(cache_before) if cache is not None else None
@@ -258,6 +270,7 @@ class EmitterCompiler:
                 ordering_search.peak_height if ordering_search is not None else None
             ),
             subgraph_cache_stats=subgraph_cache_stats,
+            leaf_search_stats=leaf_search_stats,
         )
 
     # ------------------------------------------------------------------ #
@@ -355,8 +368,7 @@ class EmitterCompiler:
                 photon = state.photon_of_vertex[vertex]
                 if not state.photon_in_graph(photon):  # pragma: no cover - defensive
                     continue
-                reduce_photon(state, photon, strategy, tag=tag)
-                state.free_isolated_emitters(tag=tag)
+                reduce_and_free(state, photon, strategy, tag=tag)
         return state.finish(tag="stem")
 
     def _append_lc_corrections(

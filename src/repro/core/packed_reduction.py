@@ -141,6 +141,51 @@ class BitsetReductionState:
     def emitter_degree(self, emitter: int) -> int:
         return self._rows[self._eoff + emitter].bit_count()
 
+    def emitter_edge_count(self) -> int:
+        """Number of emitter-emitter edges (free emitters have empty rows)."""
+        rows = self._rows
+        off = self._eoff
+        return sum((rows[off + e] >> off).bit_count() for e in self.active_emitters) // 2
+
+    # ------------------------------------------------------------------ #
+    # Snapshot / restore (the leaf-order search's shared-prefix walk)
+    # ------------------------------------------------------------------ #
+
+    def snapshot(self) -> tuple:
+        """Everything a later :meth:`restore` needs to rewind to this point.
+
+        Covers the rows, ``_alive``, the emitter pool, the free pass's
+        touched set and the op count — the whole state of a
+        :class:`PackedReductionState`, but not a streaming window's slot
+        maps and counters.
+        """
+        return (
+            list(self._rows),
+            self._alive,
+            set(self.free_emitters),
+            set(self.active_emitters),
+            self.num_emitters_allocated,
+            self.emitters_over_budget,
+            set(self._touched),
+            len(self.operations),
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        """Rewind to ``snapshot``; it stays valid for further restores.
+
+        ``operations`` is truncated in place because ``_emit`` is bound to
+        its ``append``.
+        """
+        rows, alive, free, active, allocated, over_budget, touched, num_ops = snapshot
+        self._rows = list(rows)
+        self._alive = alive
+        self.free_emitters = set(free)
+        self.active_emitters = set(active)
+        self.num_emitters_allocated = allocated
+        self.emitters_over_budget = over_budget
+        self._touched = set(touched)
+        del self.operations[num_ops:]
+
     # ------------------------------------------------------------------ #
     # Rule queries (bit-identical to the dict-based oracle)
     # ------------------------------------------------------------------ #

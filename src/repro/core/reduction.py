@@ -253,6 +253,39 @@ class ReductionState:
         """True when every photon has been removed and every emitter is free."""
         return not self.remaining_photons() and not self.active_emitters
 
+    def emitter_edge_count(self) -> int:
+        """Number of emitter-emitter edges in the working graph."""
+        return sum(1 for u, v in self.graph.edges() if u[0] == "e" and v[0] == "e")
+
+    # ------------------------------------------------------------------ #
+    # Snapshot / restore (the leaf-order search's shared-prefix walk)
+    # ------------------------------------------------------------------ #
+
+    def snapshot(self) -> tuple:
+        """Everything a later :meth:`restore` needs to rewind to this point."""
+        return (
+            self.graph.copy(),
+            set(self.free_emitters),
+            set(self.active_emitters),
+            self.num_emitters_allocated,
+            self.emitters_over_budget,
+            len(self.operations),
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        """Rewind to ``snapshot``; it stays valid for further restores.
+
+        ``operations`` is truncated in place, so a reference to the list
+        (or to its ``append``) keeps seeing the state's operations.
+        """
+        graph, free, active, allocated, over_budget, num_ops = snapshot
+        self.graph = graph.copy()
+        self.free_emitters = set(free)
+        self.active_emitters = set(active)
+        self.num_emitters_allocated = allocated
+        self.emitters_over_budget = over_budget
+        del self.operations[num_ops:]
+
     # ------------------------------------------------------------------ #
     # Rule queries (shared with the packed fast path)
     #

@@ -45,7 +45,7 @@ from repro.core.reduction import (
 )
 from repro.graphs.graph_state import GraphState
 
-__all__ = ["GreedyReductionStrategy", "greedy_reduce", "reduce_photon"]
+__all__ = ["GreedyReductionStrategy", "greedy_reduce", "reduce_and_free", "reduce_photon"]
 
 Vertex = Hashable
 
@@ -200,6 +200,23 @@ def reduce_photon(
     state.apply_swap(photon, emitter=preferred, tag=tag)
 
 
+def reduce_and_free(
+    state: AnyReductionState,
+    photon: int,
+    strategy: GreedyReductionStrategy,
+    tag: str = "",
+) -> None:
+    """One step of a reduction: remove ``photon``, then the eager free pass.
+
+    Every driver of the greedy reduction (:func:`greedy_reduce`, the leaf
+    search's shared-prefix walk, the global reduction and the streaming
+    compile) takes its steps through this helper, so they cannot drift apart.
+    """
+    reduce_photon(state, photon, strategy, tag)
+    if strategy.free_isolated_eagerly:
+        state.free_isolated_emitters(tag=tag)
+
+
 # --------------------------------------------------------------------------- #
 # Full reduction
 # --------------------------------------------------------------------------- #
@@ -252,7 +269,5 @@ def greedy_reduce(
         photon = state.photon_of_vertex[vertex]
         if not state.photon_in_graph(photon):  # pragma: no cover - defensive
             continue
-        reduce_photon(state, photon, strategy, tag)
-        if strategy.free_isolated_eagerly:
-            state.free_isolated_emitters(tag=tag)
+        reduce_and_free(state, photon, strategy, tag)
     return state.finish(tag=tag)

@@ -41,7 +41,7 @@ from typing import Callable
 
 from repro.core.packed_reduction import BitsetReductionState
 from repro.core.reduction import ReductionOp, ReductionOpType
-from repro.core.strategies import GreedyReductionStrategy, reduce_photon
+from repro.core.strategies import GreedyReductionStrategy, reduce_and_free
 
 __all__ = ["StreamCompileResult", "StreamingReductionState", "compile_stream"]
 
@@ -227,9 +227,7 @@ def compile_stream(
 
     def reduce_region(vertices) -> None:
         for vertex in reversed(vertices):
-            reduce_photon(state, slot_of[vertex], strategy, tag)
-            if strategy.free_isolated_eagerly:
-                state.free_isolated_emitters(tag=tag)
+            reduce_and_free(state, slot_of[vertex], strategy, tag)
 
     pinned = tuple(spec.pinned())
     for hub in pinned:

@@ -7,10 +7,16 @@ affordable.  The compiler
 1. enumerates candidate processing orders — exhaustively for very small
    subgraphs, otherwise a mix of degree-based heuristics (the paper
    prioritises low-degree vertices), BFS orders and random samples;
-2. runs the greedy reduction for every candidate and keeps the circuits with
-   the minimal number of emitter-emitter CNOTs;
+2. runs the greedy reduction for every candidate as one depth-first walk
+   over the trie of candidate orders: a prefix shared by several candidates
+   is reduced once (one reduction state, snapshot and restored at branching
+   nodes), and a subtree whose emitter-emitter gate count is already above
+   the best complete order's is cut — the count never falls along a prefix,
+   so the cut never loses a winner; the circuits with the minimal number of
+   emitter-emitter CNOTs are kept;
 3. breaks ties by the average photon-loss duration of the ALAP-scheduled
-   circuit (the paper's hardware-aware objective);
+   circuit (the paper's hardware-aware objective), then by the earliest
+   candidate;
 4. repeats the above for several emitter budgets (the *flexible resource
    constraint*: ``n_e^min``, ``n_e^min + 1`` ... ``n_e^min + slack``), so the
    scheduler can later trade emitters for parallelism.
@@ -40,6 +46,7 @@ import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.metrics import CircuitMetrics, compute_metrics
+from repro.circuit.timing import GateDurations
 from repro.core.compile_cache import (
     CachedCompilation,
     SubgraphCompileCache,
@@ -48,9 +55,10 @@ from repro.core.compile_cache import (
 )
 from repro.core.config import CompilerConfig
 from repro.core.ordering import optimize_emission_ordering
+from repro.core.packed_reduction import make_reduction_state
 from repro.core.plan_scoring import score_sequence
-from repro.core.reduction import ReductionSequence
-from repro.core.strategies import GreedyReductionStrategy, greedy_reduce
+from repro.core.reduction import ReductionOpType, ReductionSequence
+from repro.core.strategies import GreedyReductionStrategy, reduce_and_free
 from repro.graphs.canonical_form import (
     CanonicalForm,
     CanonicalizationBudgetError,
@@ -61,7 +69,12 @@ from repro.graphs.entanglement import minimum_emitters
 from repro.graphs.graph_state import GraphState
 from repro.utils.misc import make_rng
 
-__all__ = ["SubgraphCompilationResult", "SubgraphCompiler", "candidate_processing_orders"]
+__all__ = [
+    "LeafSearchStats",
+    "SubgraphCompilationResult",
+    "SubgraphCompiler",
+    "candidate_processing_orders",
+]
 
 Vertex = Hashable
 
@@ -177,6 +190,135 @@ def candidate_processing_orders(
     return candidates
 
 
+@dataclass
+class LeafSearchStats:
+    """Work counters of leaf-order searches, summed over the searches run.
+
+    ``orders`` counts candidate orders, so a search that reduced every
+    candidate separately would take ``orders × leaf size`` photon steps;
+    ``steps`` counts the steps the shared-prefix walk took.
+    ``orders_scored`` counts complete orders handed to
+    :func:`~repro.core.plan_scoring.score_sequence`, and ``subtrees_pruned``
+    the prefixes cut by the emitter-emitter gate bound.  A compile-cache hit
+    runs no search and adds nothing.
+    """
+
+    orders: int = 0
+    steps: int = 0
+    orders_scored: int = 0
+    subtrees_pruned: int = 0
+
+
+class _OrderTrieWalk:
+    """One leaf search: a depth-first walk over the trie of candidate orders.
+
+    A single reduction state serves the whole search.  Every photon step is
+    :func:`~repro.core.strategies.reduce_and_free`, the step of
+    :func:`~repro.core.strategies.greedy_reduce`; a node with more than one
+    child snapshots the state once and restores it before each further
+    child, so a prefix shared by several candidates is reduced once.
+    Children are visited in order of their first candidate index.
+
+    **Bound.**  Emitter-emitter edges disappear only through ``DISCONNECT``
+    (one edge per op): photon rewrites only add bits to emitter rows or clear
+    photon bits, and an emitter is freed only with an empty row.  Every edge
+    still present must be disconnected before the reduction ends, so
+    ``DISCONNECT ops so far + emitter-emitter edges now`` never exceeds the
+    ee-gate count of any completion, never falls along a prefix, and equals
+    the exact count at a complete order.  A subtree whose bound is strictly
+    above the incumbent's count cannot hold a winner and is cut; a tie is
+    still scored on loss and duration.
+
+    **Budget pressure.**  ``compile_flexible`` reuses a result for larger
+    budgets when ``search_max < budget``, so that answer must not depend on
+    the cuts.  Allocation never falls along a prefix either, so nothing is
+    cut until some prefix has allocated ``budget`` emitters (counted as
+    ``max(allocated, 1)``, like ``ReductionSequence.num_emitters``); from
+    then on every candidate is known to be at or above the budget, and the
+    search reports ``min(largest allocation seen, budget)``.
+    """
+
+    def __init__(
+        self,
+        graph: GraphState,
+        strategy: GreedyReductionStrategy,
+        durations: GateDurations,
+        stats: LeafSearchStats,
+    ):
+        self.state = make_reduction_state(
+            graph,
+            emitter_budget=strategy.emitter_budget,
+            strict_budget=strategy.strict_budget,
+        )
+        self.strategy = strategy
+        self.durations = durations
+        self.stats = stats
+        self.budget = strategy.emitter_budget
+        self.search_max = 1
+        #: ``(score key, candidate index, sequence)`` of the incumbent.
+        self.best: tuple[tuple[float, float, float], int, ReductionSequence] | None = None
+
+    def run(self, orders: list[list[Vertex]]) -> tuple[int, ReductionSequence, int]:
+        """``(winning candidate index, its sequence, search_max_emitters)``."""
+        trie: dict = {}
+        for index, order in enumerate(orders):
+            node = trie
+            for vertex in order[:-1]:
+                node = node.setdefault(vertex, {})
+            node[order[-1]] = index
+        self.stats.orders += len(orders)
+        self._walk(trie, 0)
+        assert self.best is not None
+        _, index, sequence = self.best
+        return index, sequence, min(self.search_max, self.budget)
+
+    def _walk(self, node: dict, disconnects: int) -> None:
+        """Walk every subtree of ``node``; the state holds ``node``'s prefix.
+
+        A child is a subtree dict, or the candidate index of a complete
+        order.  Chains of only children are followed without recursing.
+        """
+        state = self.state
+        ops = state.operations
+        photon_of = state.photon_of_vertex
+        snapshot = state.snapshot() if len(node) > 1 else None
+        for position, (vertex, child) in enumerate(node.items()):
+            if position:
+                state.restore(snapshot)
+            count = disconnects
+            while True:
+                mark = len(ops)
+                reduce_and_free(state, photon_of[vertex], self.strategy)
+                self.stats.steps += 1
+                for op in ops[mark:]:
+                    if op.op_type is ReductionOpType.DISCONNECT:
+                        count += 1
+                if state.num_emitters_allocated > self.search_max:
+                    self.search_max = state.num_emitters_allocated
+                complete = not isinstance(child, dict)
+                best = self.best
+                if best is not None and (complete or self.search_max >= self.budget):
+                    if count + state.emitter_edge_count() > best[0][0]:
+                        if not complete:
+                            self.stats.subtrees_pruned += 1
+                        break
+                if complete:
+                    self._score(child)
+                    break
+                if len(child) > 1:
+                    self._walk(child, count)
+                    break
+                ((vertex, child),) = child.items()
+
+    def _score(self, index: int) -> None:
+        """Finish the complete order ``index`` and keep it if it wins."""
+        sequence = self.state.finish()
+        key = score_sequence(sequence, durations=self.durations, policy="alap")
+        self.stats.orders_scored += 1
+        if self.best is None or (key, index) < self.best[:2]:
+            self.best = (key, index, sequence)
+
+
 class SubgraphCompiler:
     """Search-based compiler for a single subgraph.
 
@@ -256,13 +398,21 @@ class SubgraphCompiler:
         emitter_budget: int,
         seeded_order: Sequence[Vertex] | None,
         rng: np.random.Generator,
+        stats: LeafSearchStats | None = None,
     ) -> tuple[list[Vertex], ReductionSequence, int, int]:
         """Best processing order for ``graph`` under ``emitter_budget``.
 
-        Returns ``(order, sequence, orders_evaluated, search_max_emitters)``
-        where the last entry is the largest emitter pool *any* candidate
-        allocated — strictly below the budget, the search provably never felt
-        budget pressure and its result holds for every larger budget.
+        Walks the trie of candidate orders (:class:`_OrderTrieWalk`) and
+        returns the candidate with the smallest ``(score key, candidate
+        index)`` — the same order, sequence and key as reducing and scoring
+        every candidate separately, where the earliest candidate wins a tie.
+
+        Returns ``(order, sequence, orders_evaluated, search_max_emitters)``.
+        ``orders_evaluated`` is the number of candidates; the last entry is
+        ``min(largest emitter pool any candidate allocated, emitter_budget)``
+        — strictly below the budget, the search provably never felt budget
+        pressure and its result holds for every larger budget.  The work
+        done is added to ``stats``.
         """
         config = self.config
         strategy = GreedyReductionStrategy(
@@ -281,26 +431,14 @@ class SubgraphCompiler:
                 orders.remove(candidate)
             orders.insert(0, candidate)
 
-        # Rank candidate orders by the op-sequence score (bit-identical to
-        # the circuit-backed metrics, see repro.core.plan_scoring); only the
-        # winning order pays for the circuit build and the full metrics.
-        best: tuple[tuple[float, float, float], list[Vertex], ReductionSequence] | None
-        best = None
-        search_max_emitters = 0
-        for order in orders:
-            sequence = greedy_reduce(graph, processing_order=order, strategy=strategy)
-            search_max_emitters = max(search_max_emitters, sequence.num_emitters)
-            key = score_sequence(
-                sequence,
-                durations=config.hardware.durations,
-                policy="alap",
-                cnot_cutoff=best[0][0] if best is not None else None,
-            )
-            if key is not None and (best is None or key < best[0]):
-                best = (key, list(order), sequence)
-        assert best is not None
-        _, best_order, best_sequence = best
-        return best_order, best_sequence, len(orders), search_max_emitters
+        walk = _OrderTrieWalk(
+            graph,
+            strategy,
+            config.hardware.durations,
+            stats if stats is not None else LeafSearchStats(),
+        )
+        index, sequence, search_max = walk.run(orders)
+        return list(orders[index]), sequence, len(orders), search_max
 
     def _search_canonical(
         self,
@@ -308,6 +446,7 @@ class SubgraphCompiler:
         canon_graph: GraphState,
         emitter_budget: int,
         canon_seed: tuple[int, ...] | None,
+        stats: LeafSearchStats | None,
     ) -> CachedCompilation:
         """Run the search on the canonical representative; package the entry."""
         order, sequence, evaluated, search_max = self._search(
@@ -315,6 +454,7 @@ class SubgraphCompiler:
             emitter_budget,
             list(canon_seed) if canon_seed is not None else None,
             self._derived_rng(canonical.key),
+            stats,
         )
         circuit = sequence.to_circuit()
         metrics = compute_metrics(
@@ -397,8 +537,13 @@ class SubgraphCompiler:
         seeded_order: Sequence[Vertex] | None = None,
         canonical: CanonicalForm | None = None,
         rng: np.random.Generator | None = None,
+        stats: LeafSearchStats | None = None,
     ) -> tuple[SubgraphCompilationResult, int]:
-        """:meth:`compile` plus the search's ``search_max_emitters``."""
+        """:meth:`compile` plus the search's ``search_max_emitters``.
+
+        The work of a search that runs (none on a cache hit) is added to
+        ``stats``.
+        """
         if subgraph.num_vertices == 0:
             raise ValueError("cannot compile an empty subgraph")
         if emitter_budget is None:
@@ -406,7 +551,9 @@ class SubgraphCompiler:
         if canonical is None:
             canonical = self._canonicalize(subgraph)
         if canonical is None:
-            return self._compile_direct(subgraph, emitter_budget, seeded_order, rng)
+            return self._compile_direct(
+                subgraph, emitter_budget, seeded_order, rng, stats
+            )
 
         canon_graph: GraphState | None = None
         if seeded_order is not None:
@@ -431,7 +578,7 @@ class SubgraphCompiler:
             if canon_graph is None:
                 canon_graph = canonical.build_graph()
             entry = self._search_canonical(
-                canonical, canon_graph, emitter_budget, canon_seed
+                canonical, canon_graph, emitter_budget, canon_seed, stats
             )
             if self.cache is not None:
                 self.cache.put(key, entry)
@@ -444,6 +591,7 @@ class SubgraphCompiler:
         emitter_budget: int,
         seeded_order: Sequence[Vertex] | None,
         rng: np.random.Generator | None,
+        stats: LeafSearchStats | None,
     ) -> tuple[SubgraphCompilationResult, int]:
         """The uncached search on the subgraph's own labels (large leaves).
 
@@ -459,6 +607,7 @@ class SubgraphCompiler:
             emitter_budget,
             seeded_order,
             rng if rng is not None else make_rng(self.config.seed),
+            stats,
         )
         circuit = sequence.to_circuit()
         metrics = compute_metrics(
@@ -479,7 +628,10 @@ class SubgraphCompiler:
         return result, search_max
 
     def compile_flexible(
-        self, subgraph: GraphState, rng: np.random.Generator | None = None
+        self,
+        subgraph: GraphState,
+        rng: np.random.Generator | None = None,
+        stats: LeafSearchStats | None = None,
     ) -> dict[int, SubgraphCompilationResult]:
         """Compile under the flexible resource constraint.
 
@@ -497,7 +649,8 @@ class SubgraphCompiler:
         :class:`~repro.core.compiler.EmitterCompiler` passes one generator,
         seeded from ``config.seed`` per top-level compile, to every leaf, so
         compiling the same graph twice gives the same circuit.  ``None``
-        seeds a fresh one from ``config.seed`` for this call.
+        seeds a fresh one from ``config.seed`` for this call.  The work of
+        the searches this call runs is added to ``stats``.
         """
         if subgraph.num_vertices == 0:
             raise ValueError("cannot compile an empty subgraph")
@@ -532,7 +685,7 @@ class SubgraphCompiler:
                 results[budget] = previous[0]
                 continue
             result, search_max = self._compile_with_info(
-                subgraph, budget, seeded_order, canonical, rng
+                subgraph, budget, seeded_order, canonical, rng, stats
             )
             results[budget] = result
             previous = (result, budget, search_max)

@@ -19,6 +19,10 @@ The streaming state admits the photons in a shuffled order, so its slots
 differ from the photon indices the other two states use.  The three op
 sequences must be equal, and after every eager free pass no active emitter
 of a bitset state may have an empty row.
+
+The snapshot/restore case checks the two whole-graph states the leaf-order
+search walks with: restoring a snapshot must give back exactly the state a
+fresh replay of the same prefix reaches, touched set included.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.core.packed_reduction import PackedReductionState
 from repro.core.reduction import ReductionOpType, ReductionState
-from repro.core.strategies import GreedyReductionStrategy, reduce_photon
+from repro.core.strategies import GreedyReductionStrategy, reduce_and_free, reduce_photon
 from repro.core.streaming import StreamingReductionState
 from repro.graphs.graph_state import GraphState
 from repro.pipeline.jobs import GraphSpec
@@ -174,3 +178,80 @@ def test_each_recorded_write_is_seen_by_the_next_pass(write):
     assert expected[0][-1], "the script must end in a pass that frees something"
     assert replay(PackedReductionState(graph)) == expected
     assert replay(streaming_state(graph, strategy)) == expected
+
+
+#: Smaller graphs for the snapshot/restore case, which also runs the oracle.
+SNAPSHOT_GRAPHS = (
+    ("regular", 31),
+    ("smallworld", 31),
+    ("erdos", 31),
+    ("percolated", 36),
+    ("ghz", 31),
+    ("surface", 5),
+    ("random", 32),
+)
+
+
+def state_view(state):
+    """Everything a snapshot must capture, in comparable form."""
+    if isinstance(state, PackedReductionState):
+        graph = (list(state._rows), state._alive, sorted(state._touched))
+    else:
+        graph = (
+            sorted(state.graph.vertices()),
+            sorted(tuple(sorted(edge)) for edge in state.graph.edges()),
+        )
+    return (
+        list(state.operations),
+        graph,
+        sorted(state.free_emitters),
+        sorted(state.active_emitters),
+        state.num_emitters_allocated,
+        state.emitters_over_budget,
+    )
+
+
+@pytest.mark.parametrize("cls", [ReductionState, PackedReductionState])
+@given(
+    graph_choice=st.sampled_from(SNAPSHOT_GRAPHS),
+    kind=st.sampled_from(("lazy_free", "prefer_disconnect", "tight_budget")),
+    budget=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+    cut=st.floats(0.0, 1.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_snapshot_restore_matches_fresh_replay(cls, graph_choice, kind, budget, seed, cut):
+    family, size = graph_choice
+    graph = GraphSpec(family=family, size=size, seed=seed).build()
+    strategy = make_strategy(kind, budget)
+    rng = np.random.default_rng(seed)
+    order = list(graph.vertices())
+    rng.shuffle(order)
+    split = int(cut * len(order))
+    prefix, suffix = order[:split], order[split:]
+    detour = list(suffix)
+    rng.shuffle(detour)
+    kwargs = dict(emitter_budget=strategy.emitter_budget, strict_budget=strategy.strict_budget)
+
+    def replay(state, vertices):
+        for vertex in vertices:
+            reduce_and_free(state, state.photon_of_vertex[vertex], strategy)
+        return state
+
+    at_prefix = state_view(replay(cls(graph, **kwargs), prefix))
+    state = replay(cls(graph, **kwargs), prefix)
+    snapshot = state.snapshot()
+    replay(state, detour).finish()
+    state.restore(snapshot)
+    assert state_view(state) == at_prefix
+    replay(state, suffix).finish()
+    fresh = replay(cls(graph, **kwargs), order)
+    # The walk's bound is exact once every photon is gone: finish disconnects
+    # exactly the emitter-emitter edges left.
+    disconnects = [op for op in fresh.operations if op.op_type is ReductionOpType.DISCONNECT]
+    bound = len(disconnects) + fresh.emitter_edge_count()
+    fresh.finish()
+    assert bound == sum(op.op_type is ReductionOpType.DISCONNECT for op in fresh.operations)
+    assert state_view(state) == state_view(fresh)
+    state.restore(snapshot)
+    assert state_view(state) == at_prefix
