@@ -26,7 +26,7 @@ Cache keys are ``(canonical key, emitter budget, seeded order,
 config fingerprint)`` where the fingerprint covers exactly the
 :class:`repro.core.config.CompilerConfig` fields that influence the search
 and the reported metrics — and deliberately *not* the GF(2) backend (packed
-and dense produce bit-identical sequences) or the cache knobs themselves.
+and dense produce bit-identical sequences) or the cache switch itself.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ def config_fingerprint(config: "CompilerConfig") -> tuple:
     Covers every field that changes the canonical-space ordering search or
     the reported metrics.  Deliberately excluded: the GF(2) backend (packed
     and dense are bit-identical by construction), the partitioning knobs
-    (leaves are compiled as given) and the ``subgraph_cache*`` knobs
-    themselves (they must never change results).
+    (leaves are compiled as given) and the ``subgraph_cache`` switch itself
+    (it must never change results).
     """
     durations = config.hardware.durations
     return (
@@ -227,7 +227,6 @@ def config_fingerprint(config: "CompilerConfig") -> tuple:
         config.exhaustive_order_threshold,
         config.ordering_strategy,
         config.ordering_iterations,
-        config.use_twin_rule,
         config.seed,
         durations.emitter_emitter_gate,
         durations.emission,
@@ -284,11 +283,6 @@ class SubgraphCompileCache:
     @property
     def disk_enabled(self) -> bool:
         return self._disk is not None
-
-    def resize(self, capacity: int) -> None:
-        """Grow the capacity (shared caches only ever grow, never shrink)."""
-        with self._lock:
-            self.capacity = max(self.capacity, int(capacity))
 
     def disk_stats(self) -> dict | None:
         """Disk-tier counters and breaker state (``None`` when memory-only).
@@ -374,16 +368,11 @@ _process_cache: SubgraphCompileCache | None = None
 _process_lock = threading.Lock()
 
 
-def get_process_cache(
-    capacity: int | None = None, disk_dir: str | None = None
-) -> SubgraphCompileCache:
-    """The shared per-process cache, created on first use.
+def get_process_cache(disk_dir: str | None = None) -> SubgraphCompileCache:
+    """The shared per-process cache of ``DEFAULT_CAPACITY`` entries, made on first use.
 
     Parameters
     ----------
-    capacity : int | None, optional
-        Requested capacity; the shared cache grows to the largest request it
-        has seen (it never shrinks under a concurrent user's feet).
     disk_dir : str | None, optional
         Persistent-tier directory; defaults to the ``REPRO_SUBGRAPH_CACHE_DIR``
         environment variable (read only when the cache is first created).
@@ -396,15 +385,9 @@ def get_process_cache(
             import os
 
             directory = disk_dir if disk_dir is not None else os.environ.get(CACHE_DIR_ENV)
-            _process_cache = SubgraphCompileCache(
-                capacity=capacity if capacity is not None else DEFAULT_CAPACITY,
-                disk_dir=directory or None,
-            )
-        else:
-            if capacity is not None:
-                _process_cache.resize(capacity)
-            if disk_dir is not None:
-                _process_cache.attach_disk(disk_dir)
+            _process_cache = SubgraphCompileCache(disk_dir=directory or None)
+        elif disk_dir is not None:
+            _process_cache.attach_disk(disk_dir)
         return _process_cache
 
 

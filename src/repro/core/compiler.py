@@ -232,7 +232,7 @@ class EmitterCompiler:
         schedule = schedule_circuit(
             circuit,
             durations=config.hardware.durations,
-            policy=config.scheduling_policy,
+            policy="alap",
         )
         metrics = compute_metrics(
             circuit,
@@ -336,7 +336,6 @@ class EmitterCompiler:
             key = score_sequence(
                 sequence,
                 durations=config.hardware.durations,
-                policy=config.scheduling_policy,
                 cnot_cutoff=best[0][0] if best is not None else None,
             )
             if key is not None and (best is None or key < best[0]):
@@ -355,12 +354,10 @@ class EmitterCompiler:
         Runs on the backend-selected working-graph representation (the packed
         bitset fast path by default; the dict-based oracle on ``dense``).
         """
-        config = self.config
         state = make_reduction_state(working_graph, emitter_budget=emitter_limit)
         for block_number, (order, preferred) in enumerate(processing_plan):
             strategy = GreedyReductionStrategy(
                 emitter_budget=emitter_limit,
-                enable_twin_rule=config.use_twin_rule,
                 preferred_emitters=preferred,
             )
             tag = f"block:{block_number}"

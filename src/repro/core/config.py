@@ -22,6 +22,13 @@ __all__ = ["CompilerConfig"]
 class CompilerConfig:
     """Configuration of :class:`repro.core.compiler.EmitterCompiler`.
 
+    The paper's fixed structural choices are constants, not fields: exact
+    MIP partitioning up to
+    :data:`~repro.core.partition.EXACT_PARTITION_MAX_VERTICES` vertices, the
+    flexible budgets ``n_e^min .. n_e^min + FLEXIBLE_EMITTER_SLACK``
+    (:mod:`repro.core.subgraph_compiler`), ALAP scheduling and the
+    twin-absorption rewrite.
+
     Attributes:
         max_subgraph_size: the paper's ``g_max`` (maximum vertices per
             subgraph/leaf).
@@ -30,15 +37,6 @@ class CompilerConfig:
         emitter_limit_factor: ``N_e^limit = ceil(factor * N_e^min)``; ignored
             when ``emitter_limit`` is given explicitly.
         emitter_limit: explicit emitter budget (overrides the factor).
-        partition_method: ``"auto"``, ``"heuristic"`` or ``"exact"`` (exact
-            uses the branch-and-bound MIP model, only sensible for small
-            graphs).
-        exact_partition_max_vertices: size cap for the exact MIP path when
-            ``partition_method="auto"``.
-        flexible_emitter_slack: how many extra emitters beyond each
-            subgraph's minimum are explored by the flexible resource
-            constraint (the paper compiles with ``n_e^min``, ``+1``, ``+2``,
-            i.e. slack 2).
         max_order_candidates: maximum number of processing orders evaluated
             per subgraph by the ordering search.
         exhaustive_order_threshold: subgraphs with at most this many vertices
@@ -52,18 +50,12 @@ class CompilerConfig:
             recombination candidates of the compiler.
         ordering_iterations: annealing proposal steps for
             ``ordering_strategy="anneal"``.
-        scheduling_policy: gate-level scheduling policy for the final circuit
-            (``"alap"`` delays emissions and is the framework default;
-            ``"asap"`` reproduces baseline behaviour).
-        use_twin_rule: enable the twin-absorption rewrite in the reduction.
         subgraph_cache: memoize per-leaf ordering searches in the
             process-wide isomorphism-keyed compile cache
             (:mod:`repro.core.compile_cache`).  Leaf searches always run in
             canonical space, so toggling the cache never changes results —
             only whether repeated (isomorphic) leaves pay for the search
             again.
-        subgraph_cache_size: capacity of the process-wide compile cache (the
-            shared cache grows to the largest request it has seen).
         deadline_ms: anytime-compilation wall-clock deadline in milliseconds
             for :mod:`repro.core.portfolio`: the portfolio compiler returns
             its verified best-so-far once the deadline is reached (the
@@ -80,11 +72,6 @@ class CompilerConfig:
         gf2_backend: GF(2)/tableau kernel backend pinned for the whole
             compilation (``"dense"`` or ``"packed"``); ``None`` keeps the
             process default of :mod:`repro.utils.backend`.
-        stream_chunk: region size (lattice rows / photons per region) used by
-            the streaming partition-compile pipeline
-            (:mod:`repro.core.streaming`) when a lazy generator spec does not
-            fix its own chunking.  Larger chunks lower per-region overhead,
-            smaller chunks lower the peak working-set memory.
         hardware: hardware model (gate durations, loss).
         seed: seed for the stochastic components (ordering search sampling,
             annealing).
@@ -94,22 +81,15 @@ class CompilerConfig:
     lc_budget: int = 15
     emitter_limit_factor: float = 1.5
     emitter_limit: int | None = None
-    partition_method: str = "auto"
-    exact_partition_max_vertices: int = 10
-    flexible_emitter_slack: int = 2
     max_order_candidates: int = 120
     exhaustive_order_threshold: int = 6
     ordering_strategy: str = "natural"
     ordering_iterations: int = 150
-    scheduling_policy: str = "alap"
-    use_twin_rule: bool = True
     subgraph_cache: bool = True
-    subgraph_cache_size: int = 4096
     deadline_ms: float | None = None
     portfolio_budget: int | None = None
     verify: bool = False
     gf2_backend: str | None = None
-    stream_chunk: int = 4
     hardware: HardwareModel = field(default_factory=quantum_dot)
     seed: int = 7
 
@@ -122,13 +102,6 @@ class CompilerConfig:
             raise ValueError("emitter_limit_factor must be >= 1.0")
         if self.emitter_limit is not None and self.emitter_limit < 1:
             raise ValueError("emitter_limit must be >= 1 when given")
-        if self.partition_method not in ("auto", "heuristic", "exact"):
-            raise ValueError(
-                "partition_method must be 'auto', 'heuristic' or 'exact', "
-                f"got {self.partition_method!r}"
-            )
-        if self.flexible_emitter_slack < 0:
-            raise ValueError("flexible_emitter_slack must be >= 0")
         if self.max_order_candidates < 1:
             raise ValueError("max_order_candidates must be >= 1")
         if self.exhaustive_order_threshold < 1:
@@ -140,23 +113,17 @@ class CompilerConfig:
             )
         if self.ordering_iterations < 1:
             raise ValueError("ordering_iterations must be >= 1")
-        if self.subgraph_cache_size < 1:
-            raise ValueError("subgraph_cache_size must be >= 1")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {self.deadline_ms}")
         if self.portfolio_budget is not None and self.portfolio_budget < 1:
             raise ValueError(
                 f"portfolio_budget must be >= 1, got {self.portfolio_budget}"
             )
-        if self.scheduling_policy not in ("asap", "alap"):
-            raise ValueError("scheduling_policy must be 'asap' or 'alap'")
         if self.gf2_backend is not None and self.gf2_backend not in BACKENDS:
             raise ValueError(
                 f"gf2_backend must be one of {BACKENDS} or None, "
                 f"got {self.gf2_backend!r}"
             )
-        if self.stream_chunk < 1:
-            raise ValueError(f"stream_chunk must be >= 1, got {self.stream_chunk}")
 
     def with_overrides(self, **kwargs) -> "CompilerConfig":
         """Return a copy with the given fields replaced."""

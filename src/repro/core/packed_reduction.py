@@ -463,7 +463,10 @@ class BitsetReductionState:
         emitter_id = self._emission_source(emitter)
         self._emit(
             ReductionOp(
-                ReductionOpType.EMIT_ISOLATED, emitter=emitter_id, photon=self._name[photon], tag=tag
+                ReductionOpType.EMIT_ISOLATED,
+                emitter=emitter_id,
+                photon=self._name[photon],
+                tag=tag,
             )
         )
         self._release(photon)

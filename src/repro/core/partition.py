@@ -45,6 +45,10 @@ __all__ = ["PartitionResult", "GraphPartitioner", "build_partition_program"]
 
 Vertex = Hashable
 
+#: Graphs above ``max_subgraph_size`` and up to this many vertices are
+#: partitioned by the exact branch-and-bound MIP; larger ones heuristically.
+EXACT_PARTITION_MAX_VERTICES = 10
+
 
 @dataclass
 class PartitionResult:
@@ -179,13 +183,9 @@ class GraphPartitioner:
                 method="trivial",
             )
 
-        use_exact = config.partition_method == "exact" or (
-            config.partition_method == "auto"
-            and graph.num_vertices <= config.exact_partition_max_vertices
+        return self._partition_with_lc(
+            graph, exact=graph.num_vertices <= EXACT_PARTITION_MAX_VERTICES
         )
-        if use_exact:
-            return self._partition_with_lc(graph, exact=True)
-        return self._partition_with_lc(graph, exact=False)
 
     # ------------------------------------------------------------------ #
     # LC search wrapper

@@ -15,8 +15,9 @@ candidate ever needs the circuit.
 the operation sequence: it expands each reversed operation into the exact
 gate list :func:`~repro.core.reduction.forward_circuit_from_sequence` would
 emit — as bare ``(operands, duration)`` tuples — and replays the same
-ASAP/ALAP dependency-list recurrences as
-:func:`repro.circuit.timing.schedule_circuit`.  The floating-point
+ALAP dependency-list recurrences as
+:func:`repro.circuit.timing.schedule_circuit` (ALAP is the framework's only
+scheduling policy).  The floating-point
 arithmetic is performed in the same order, so the scores are **bit-identical**
 to the metrics of the materialised circuit and candidate selection is
 unchanged; only the per-candidate cost drops (no object churn, one dict
@@ -83,7 +84,6 @@ def _expanded_gates(
 def score_sequence(
     sequence: ReductionSequence,
     durations: GateDurations | None = None,
-    policy: str = "alap",
     cnot_cutoff: float | None = None,
 ) -> tuple[float, float, float] | None:
     """The plan-selection key of ``sequence`` without building its circuit.
@@ -91,7 +91,7 @@ def score_sequence(
     Returns ``(num_emitter_emitter_cnots, average_photon_loss_duration,
     duration)`` — bit-identical to the corresponding fields of
     ``compute_metrics(sequence.to_circuit(), durations=durations,
-    policy=policy)``, at a fraction of the cost.
+    policy="alap")``, at a fraction of the cost.
 
     Parameters
     ----------
@@ -99,9 +99,6 @@ def score_sequence(
         A complete reduction (as returned by ``finish``/``greedy_reduce``).
     durations : GateDurations | None, optional
         Hardware gate durations; ``None`` uses the quantum-dot defaults.
-    policy : str, optional
-        ``"alap"`` (default, the framework's scheduling policy) or
-        ``"asap"``.
     cnot_cutoff : float | None, optional
         When given and the sequence has *strictly more* emitter-emitter
         CNOTs, return ``None`` without running the schedule walk.  The CNOT
@@ -111,9 +108,6 @@ def score_sequence(
     """
     if durations is None:
         durations = GateDurations()
-    policy = policy.lower()
-    if policy not in ("asap", "alap"):
-        raise ValueError(f"policy must be 'asap' or 'alap', got {policy!r}")
 
     cnots = float(sequence.num_emitter_emitter_gates)
     if cnot_cutoff is not None and cnots > cnot_cutoff:
@@ -121,37 +115,32 @@ def score_sequence(
 
     gates = _expanded_gates(sequence, durations)
 
-    # ASAP pass (same recurrence as schedule_circuit, same float order).
+    # ASAP pass for the makespan (same recurrence as schedule_circuit, same
+    # float order).
     ready: dict[tuple[str, int], float] = {}
-    asap_end: list[float] = []
+    makespan = 0.0
     for operands, duration, _ in gates:
         start = max((ready.get(q, 0.0) for q in operands), default=0.0)
         end = start + duration
-        asap_end.append(end)
+        makespan = max(makespan, end)
         for q in operands:
             ready[q] = end
-    makespan = max(asap_end, default=0.0)
 
-    if policy == "asap":
-        end_times = asap_end
-        final_makespan = makespan
-    else:
-        # ALAP pass: schedule the reversed circuit ASAP, then mirror.
-        ready = {}
-        alap_end = [0.0] * len(gates)
-        for i in range(len(gates) - 1, -1, -1):
-            operands, duration, _ = gates[i]
-            end = min((ready.get(q, makespan) for q in operands), default=makespan)
-            alap_end[i] = end
-            start = end - duration
-            for q in operands:
-                ready[q] = start
-        alap_start = [e - d for e, (_, d, _) in zip(alap_end, gates)]
-        shift = -min(alap_start, default=0.0)
-        if shift > 0:
-            alap_end = [e + shift for e in alap_end]
-        end_times = alap_end
-        final_makespan = max(end_times, default=0.0)
+    # ALAP pass: schedule the reversed circuit ASAP, then mirror.
+    ready = {}
+    end_times = [0.0] * len(gates)
+    for i in range(len(gates) - 1, -1, -1):
+        operands, duration, _ = gates[i]
+        end = min((ready.get(q, makespan) for q in operands), default=makespan)
+        end_times[i] = end
+        start = end - duration
+        for q in operands:
+            ready[q] = start
+    alap_start = [e - d for e, (_, d, _) in zip(end_times, gates)]
+    shift = -min(alap_start, default=0.0)
+    if shift > 0:
+        end_times = [e + shift for e in end_times]
+    final_makespan = max(end_times, default=0.0)
 
     # Average photon-loss duration, accumulated in gate order exactly like
     # Schedule.emission_times() / photon_exposure_times().

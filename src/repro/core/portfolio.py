@@ -14,8 +14,11 @@ of candidate configurations ("rungs") in increasing cost order instead:
 4. ``alt-partition`` — an alternate partition shape (the no-LC
    partitioning), which wins on graphs whose stem structure the LC stage
    makes worse.
-5. ``exact-partition`` — the branch-and-bound MIP partitioning, raced only
-   on small instances where it is tractable.
+
+There is no exact-partition rung: the default partitioner already runs the
+branch-and-bound MIP wherever it is tractable
+(:data:`repro.core.partition.EXACT_PARTITION_MAX_VERTICES`), so such a rung
+would only compile the ``natural`` rung again.
 
 The rung list and its order are a deterministic function of cheap instance
 features (:class:`InstanceFeatures`: size, degree profile, density, zoo
@@ -166,7 +169,7 @@ class RungSpec:
     ----------
     name : str
         Stable identifier (``"natural"``, ``"greedy"``, ``"anneal"``,
-        ``"alt-partition"``, ``"exact-partition"``).
+        ``"alt-partition"``).
     overrides : tuple[tuple[str, object], ...]
         :class:`CompilerConfig` fields this rung replaces, as sorted
         ``(name, value)`` pairs (hashable, JSON-friendly).
@@ -292,22 +295,6 @@ def plan_portfolio(
                 "decision": "skip",
                 "name": "alt-partition",
                 "reason": "single-block or LC already disabled",
-            }
-        )
-    if 1 < n <= config.exact_partition_max_vertices:
-        add(
-            "exact-partition",
-            f"MIP partitioning tractable at n={n} <= "
-            f"{config.exact_partition_max_vertices}",
-            partition_method="exact",
-            ordering_strategy="natural",
-        )
-    else:
-        trace.append(
-            {
-                "decision": "skip",
-                "name": "exact-partition",
-                "reason": f"n={n} outside the exact-MIP regime",
             }
         )
     return PortfolioPlan(

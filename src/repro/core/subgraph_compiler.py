@@ -18,7 +18,7 @@ affordable.  The compiler
    circuit (the paper's hardware-aware objective), then by the earliest
    candidate;
 4. repeats the above for several emitter budgets (the *flexible resource
-   constraint*: ``n_e^min``, ``n_e^min + 1`` ... ``n_e^min + slack``), so the
+   constraint*: ``n_e^min`` up to ``n_e^min + FLEXIBLE_EMITTER_SLACK``), so the
    scheduler can later trade emitters for parallelism.
 
 **Isomorphism memoization.**  Structured targets hand the partitioner the
@@ -82,6 +82,10 @@ Vertex = Hashable
 #: individualization search is sized for the ``g_max ≈ 7`` leaf regime, and
 #: larger graphs essentially never repeat anyway.
 CANONICAL_MAX_VERTICES = 12
+
+#: The flexible resource constraint: every leaf is compiled at its minimal
+#: emitter count ``n_e^min`` and at up to this many extra emitters.
+FLEXIBLE_EMITTER_SLACK = 2
 
 
 @dataclass
@@ -313,7 +317,7 @@ class _OrderTrieWalk:
     def _score(self, index: int) -> None:
         """Finish the complete order ``index`` and keep it if it wins."""
         sequence = self.state.finish()
-        key = score_sequence(sequence, durations=self.durations, policy="alap")
+        key = score_sequence(sequence, durations=self.durations)
         self.stats.orders_scored += 1
         if self.best is None or (key, index) < self.best[:2]:
             self.best = (key, index, sequence)
@@ -342,7 +346,7 @@ class SubgraphCompiler:
         if cache is not None:
             self.cache = cache
         elif self.config.subgraph_cache:
-            self.cache = get_process_cache(self.config.subgraph_cache_size)
+            self.cache = get_process_cache()
         else:
             self.cache = None
 
@@ -415,10 +419,7 @@ class SubgraphCompiler:
         done is added to ``stats``.
         """
         config = self.config
-        strategy = GreedyReductionStrategy(
-            emitter_budget=emitter_budget,
-            enable_twin_rule=config.use_twin_rule,
-        )
+        strategy = GreedyReductionStrategy(emitter_budget=emitter_budget)
         orders = candidate_processing_orders(
             graph,
             max_candidates=config.max_order_candidates,
@@ -636,7 +637,7 @@ class SubgraphCompiler:
         """Compile under the flexible resource constraint.
 
         Returns a map ``emitter budget -> best result`` for budgets
-        ``n_e^min .. n_e^min + slack``.  Budgets that do not change the
+        ``n_e^min .. n_e^min + FLEXIBLE_EMITTER_SLACK``.  Budgets that do not change the
         outcome are still reported so the scheduler can reason uniformly;
         when a search provably never felt budget pressure (no candidate
         allocated up to the budget), the *same result object* is reported
@@ -676,7 +677,7 @@ class SubgraphCompiler:
                     seeded_order = ordered
         results: dict[int, SubgraphCompilationResult] = {}
         previous: tuple[SubgraphCompilationResult, int, int] | None = None
-        for slack in range(self.config.flexible_emitter_slack + 1):
+        for slack in range(FLEXIBLE_EMITTER_SLACK + 1):
             budget = base + slack
             if previous is not None and previous[2] < previous[1]:
                 # The last search never hit its budget: a larger budget

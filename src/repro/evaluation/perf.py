@@ -89,7 +89,7 @@ DEFAULT_CACHE_SIZES = (128, 256)
 CACHE_BENCH_FAMILIES = ("lattice", "surface", "regular")
 
 #: Default sweep for the anytime-portfolio section (vertex counts; small
-#: enough that every rung — including the exact MIP — finishes quickly).
+#: enough that every rung finishes quickly).
 DEFAULT_PORTFOLIO_SIZES = (16, 24)
 
 #: Default deadline grid for the anytime-portfolio section: from "barely

@@ -27,7 +27,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from repro.graphs.generators import (
@@ -46,6 +46,7 @@ from repro.graphs.generators import (
     watts_strogatz_graph,
     waxman_graph,
 )
+from repro.core.config import CompilerConfig
 from repro.core.ordering import ORDERING_STRATEGIES
 from repro.graphs.graph_state import GraphState
 from repro.graphs.lazy import STREAM_FAMILIES
@@ -94,6 +95,9 @@ JOB_KINDS = ("comparison", "compile", "duration", "lc_stem_edges")
 #: (when the wait exceeds half the deadline).
 PRIORITY_CLASSES = ("high", "normal", "low")
 
+#: Names a job's ``config_overrides`` may set.
+_CONFIG_FIELDS = frozenset(f.name for f in fields(CompilerConfig))
+
 #: Bump when a change invalidates previously cached results (new metrics,
 #: changed semantics of an existing job kind, …).  v2: first-class
 #: ``ordering`` field (emission-ordering strategy) on every job.  v3: the
@@ -113,8 +117,10 @@ PRIORITY_CLASSES = ("high", "normal", "low")
 #: :func:`repro.core.streaming.compile_stream` from a lazy generator spec
 #: instead of materialising the graph (new fields change every content
 #: hash, and streamed records carry window/memory stats instead of a
-#: circuit summary).
-JOB_SCHEMA_VERSION = 7
+#: circuit summary).  v8: the ``exact-partition`` portfolio rung is gone
+#: (it repeated the ``natural`` rung on 2-10 vertex graphs), so portfolio
+#: records of those graphs list one rung fewer.
+JOB_SCHEMA_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -247,12 +253,13 @@ class BatchJob:
     stream_chunk : int | None, optional
         Region granularity for streamed jobs (rows per region for the
         lattice families, photons per region for GHZ).  ``None`` uses the
-        compiler config's ``stream_chunk`` for the lattice families and the
-        GHZ spec's own default.  Requires ``stream=True``.
+        family default of :func:`repro.graphs.lazy.make_stream_spec`.
+        Requires ``stream=True``.
     config_overrides : tuple[tuple[str, object], ...], optional
         Extra :class:`repro.core.config.CompilerConfig` fields applied on top
         of the fast benchmark profile, as a sorted tuple of ``(name, value)``
-        pairs (kept hashable for caching).
+        pairs (kept hashable for caching).  Names that are not
+        ``CompilerConfig`` fields raise ``ValueError`` at construction.
     """
 
     graph: GraphSpec
@@ -328,6 +335,12 @@ class BatchJob:
         object.__setattr__(
             self, "config_overrides", tuple(sorted(tuple(self.config_overrides)))
         )
+        unknown = {name for name, _ in self.config_overrides} - _CONFIG_FIELDS
+        if unknown:
+            raise ValueError(
+                f"unknown config_overrides names {sorted(unknown)}; expected "
+                "CompilerConfig fields"
+            )
 
     def with_overrides(self, **kwargs) -> "BatchJob":
         """Return a copy with the given fields replaced."""
@@ -498,11 +511,11 @@ def run_job(job: BatchJob) -> dict:
         from repro.graphs.lazy import make_stream_spec
 
         config = _job_config(job)
-        chunk = job.stream_chunk
-        if chunk is None and job.graph.family != "ghz":
-            chunk = config.stream_chunk
         spec = make_stream_spec(
-            job.graph.family, job.graph.size, seed=job.graph.seed, chunk=chunk
+            job.graph.family,
+            job.graph.size,
+            seed=job.graph.seed,
+            chunk=job.stream_chunk,
         )
         with use_backend(config.gf2_backend):
             result = compile_stream(spec)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core.compiler import EmitterCompiler
@@ -134,10 +138,6 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             CompilerConfig(emitter_limit_factor=0.5)
         with pytest.raises(ValueError):
-            CompilerConfig(scheduling_policy="random")
-        with pytest.raises(ValueError):
-            CompilerConfig(partition_method="quantum")
-        with pytest.raises(ValueError):
             CompilerConfig(emitter_limit=0)
         with pytest.raises(ValueError):
             CompilerConfig(gf2_backend="arena")
@@ -147,6 +147,18 @@ class TestConfiguration:
         other = config.with_overrides(lc_budget=3)
         assert other.lc_budget == 3
         assert config.lc_budget == 15
+
+    def test_configuration_doc_lists_exactly_the_fields(self):
+        # The first table under "## Fields" in docs/configuration.md is the
+        # CompilerConfig reference; it must neither miss nor keep a field.
+        doc = Path(__file__).resolve().parents[1] / "docs" / "configuration.md"
+        section = doc.read_text(encoding="utf-8").split("\n## Fields\n", 1)[1]
+        rows = []
+        for line in section.split("\n|---", 1)[1].splitlines()[1:]:
+            if not line.startswith("|"):
+                break
+            rows.append(re.match(r"\| `(\w+)` \|", line).group(1))
+        assert sorted(rows) == sorted(f.name for f in dataclasses.fields(CompilerConfig))
 
 
 class TestDeterminism:

@@ -169,7 +169,7 @@ class TestScoreSequenceMatchesMetrics:
         graph = _build_graph(graph_params)
         durations = _durations(duration_params)
         sequence = _compile_sequence(graph)
-        score = score_sequence(sequence, durations=durations, policy="alap")
+        score = score_sequence(sequence, durations=durations)
         metrics = compute_metrics(
             sequence.to_circuit(), durations=durations, policy="alap"
         )
@@ -186,7 +186,7 @@ class TestScoreSequenceMatchesMetrics:
         sequence = _compile_sequence(graph)
         for factory in (quantum_dot, nv_center, siv_center, rydberg_atom):
             durations = factory().durations
-            score = score_sequence(sequence, durations=durations, policy="alap")
+            score = score_sequence(sequence, durations=durations)
             metrics = compute_metrics(
                 sequence.to_circuit(), durations=durations, policy="alap"
             )

@@ -25,6 +25,7 @@ from repro.core.strategies import GreedyReductionStrategy, greedy_reduce
 from repro.core.subgraph_compiler import (
     LeafSearchStats,
     SubgraphCompiler,
+    _OrderTrieWalk,
     candidate_processing_orders,
 )
 from repro.graphs.entanglement import minimum_emitters
@@ -34,13 +35,8 @@ from repro.utils.backend import use_backend
 from repro.utils.misc import make_rng
 
 
-def flat_search(compiler, graph, emitter_budget, seeded_order, rng):
-    """The flat loop the walk replaced: one fresh reduction per candidate."""
-    config = compiler.config
-    strategy = GreedyReductionStrategy(
-        emitter_budget=emitter_budget,
-        enable_twin_rule=config.use_twin_rule,
-    )
+def candidate_orders(config, graph, seeded_order, rng):
+    """The candidate list ``SubgraphCompiler._search`` builds."""
     orders = candidate_processing_orders(
         graph,
         max_candidates=config.max_order_candidates,
@@ -52,6 +48,16 @@ def flat_search(compiler, graph, emitter_budget, seeded_order, rng):
         if candidate in orders:
             orders.remove(candidate)
         orders.insert(0, candidate)
+    return orders
+
+
+def flat_search(compiler, graph, emitter_budget, seeded_order, rng, twin=True):
+    """The flat loop the walk replaced: one fresh reduction per candidate."""
+    config = compiler.config
+    strategy = GreedyReductionStrategy(
+        emitter_budget=emitter_budget, enable_twin_rule=twin
+    )
+    orders = candidate_orders(config, graph, seeded_order, rng)
     best = None
     search_max_emitters = 0
     for order in orders:
@@ -60,7 +66,6 @@ def flat_search(compiler, graph, emitter_budget, seeded_order, rng):
         key = score_sequence(
             sequence,
             durations=config.hardware.durations,
-            policy="alap",
             cnot_cutoff=best[0][0] if best is not None else None,
         )
         if key is not None and (best is None or key < best[0]):
@@ -99,7 +104,7 @@ def small_graphs(draw):
     slack=2, twin=False, seeded=False, backend="dense", seed=0,
 )
 def test_walk_matches_flat_search(graph, slack, twin, seeded, backend, seed):
-    config = CompilerConfig(use_twin_rule=twin, seed=seed, subgraph_cache=False)
+    config = CompilerConfig(seed=seed, subgraph_cache=False)
     compiler = SubgraphCompiler(config)
     budget = minimum_emitters(graph) + slack
     seeded_order = None
@@ -108,11 +113,21 @@ def test_walk_matches_flat_search(graph, slack, twin, seeded, backend, seed):
         make_rng(seed + 1).shuffle(seeded_order)
     stats = LeafSearchStats()
     with use_backend(backend):
-        order, sequence, evaluated, search_max = compiler._search(
-            graph, budget, seeded_order, make_rng(seed), stats
-        )
+        if twin:
+            # The compiler's own search, which always uses the twin rule.
+            order, sequence, evaluated, search_max = compiler._search(
+                graph, budget, seeded_order, make_rng(seed), stats
+            )
+        else:
+            orders = candidate_orders(config, graph, seeded_order, make_rng(seed))
+            strategy = GreedyReductionStrategy(
+                emitter_budget=budget, enable_twin_rule=False
+            )
+            walk = _OrderTrieWalk(graph, strategy, config.hardware.durations, stats)
+            index, sequence, search_max = walk.run(orders)
+            order, evaluated = list(orders[index]), len(orders)
         ref_order, ref_sequence, ref_evaluated, ref_max = flat_search(
-            compiler, graph, budget, seeded_order, make_rng(seed)
+            compiler, graph, budget, seeded_order, make_rng(seed), twin=twin
         )
     durations = config.hardware.durations
     assert order == ref_order

@@ -203,23 +203,17 @@ class TestPlanScoring:
     @given(
         family=st.sampled_from(ZOO_FAMILIES),
         seed=st.integers(0, 5_000),
-        policy=st.sampled_from(("asap", "alap")),
     )
     @settings(max_examples=40, deadline=None)
-    def test_score_matches_materialised_metrics(self, family, seed, policy):
+    def test_score_matches_materialised_metrics(self, family, seed):
         graph = zoo_graph(family, 10, seed)
         sequence = greedy_reduce(graph, strategy=GreedyReductionStrategy())
-        metrics = compute_metrics(sequence.to_circuit(), policy=policy)
-        assert score_sequence(sequence, policy=policy) == (
+        metrics = compute_metrics(sequence.to_circuit(), policy="alap")
+        assert score_sequence(sequence) == (
             float(metrics.num_emitter_emitter_cnots),
             metrics.average_photon_loss_duration,
             metrics.duration,
         )
-
-    def test_rejects_unknown_policy(self):
-        sequence = greedy_reduce(linear_cluster(3))
-        with pytest.raises(ValueError, match="policy"):
-            score_sequence(sequence, policy="soon")
 
 
 class TestCompilerBackendEquivalence:

@@ -79,7 +79,7 @@ class TestPartitionResult:
     def test_exact_method_on_a_small_graph(self):
         graph = lattice_graph(2, 4)
         result = GraphPartitioner(
-            config(partition_method="exact", max_subgraph_size=4, lc_budget=0)
+            config(max_subgraph_size=4, lc_budget=0)
         ).partition(graph)
         assert result.method == "exact"
         assert partition_blocks_valid(result.transformed_graph, result.blocks, 4)

@@ -109,6 +109,17 @@ class TestBatchJob:
         )
         assert job.config_overrides == (("lc_budget", 0),)
 
+    @pytest.mark.parametrize("name", ["use_twin_rule", "stream_chunk", "lc_budgett"])
+    def test_unknown_config_override_name_is_rejected_at_construction(self, name):
+        # Deleted CompilerConfig fields and typos fail when the job is built,
+        # not as a TypeError inside the compile.
+        with pytest.raises(ValueError, match="config_overrides"):
+            BatchJob.from_dict(
+                {"family": "lattice", "size": 9, "config_overrides": {name: 1}}
+            )
+        with pytest.raises(ValueError, match="config_overrides"):
+            BatchJob(graph=GraphSpec("lattice", 9), config_overrides=((name, 1),))
+
     def test_from_dict_rejects_unknown_keys_and_missing_graph(self):
         with pytest.raises(ValueError):
             BatchJob.from_dict({"family": "lattice", "size": 9, "sizee": 2})

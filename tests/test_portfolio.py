@@ -41,8 +41,8 @@ from repro.service.loadgen import LoadReport, workload_payloads
 
 #: All seven zoo families with a valid small size each (steane is fixed at 7,
 #: surface is parameterised by odd code distance). Random families stay at 8
-#: vertices: small enough that the exact-MIP portfolio rung is cheap, large
-#: enough that every rung is admitted and the strategies actually diverge.
+#: vertices: small enough that every rung compiles quickly, large enough
+#: that every rung is admitted and the strategies actually diverge.
 ZOO = (
     ("regular", 8),
     ("smallworld", 8),
@@ -170,6 +170,19 @@ class TestSelector:
         assert "rung" in decisions
         assert plan.rungs[0].name == "natural"
         assert all(rung.reason for rung in plan.rungs)
+
+    @pytest.mark.parametrize("family,size", [("erdos", 8), ("regular", 10)])
+    def test_small_graph_rung_list(self, family, size):
+        # The default partitioner already runs the exact MIP up to 10
+        # vertices, so no rung repeats ``natural`` with an exact partition.
+        graph = zoo_graph(family, size, seed=3)
+        plan = plan_portfolio(InstanceFeatures.from_graph(graph, family), small_config())
+        assert [r.name for r in plan.rungs] == [
+            "natural",
+            "greedy",
+            "anneal",
+            "alt-partition",
+        ]
 
     def test_anneal_iterations_halved_for_star_like_families(self):
         config = small_config()

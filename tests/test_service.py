@@ -75,6 +75,18 @@ class TestCompileEndpoint:
             served.compile_payload({"family": "lattice", "size": 6, "sizee": 1})
         assert excinfo.value.status == 400
 
+    def test_unknown_config_override_is_a_400(self, served):
+        with pytest.raises(ServiceError) as excinfo:
+            served.compile_payload(
+                {
+                    "family": "lattice",
+                    "size": 6,
+                    "kind": "compile",
+                    "config_overrides": {"use_twn_rule": False},
+                }
+            )
+        assert excinfo.value.status == 400
+
     def test_unknown_path_is_a_404(self, served):
         with pytest.raises(ServiceError) as excinfo:
             served.request("POST", "/compyle", {"family": "lattice", "size": 6})

@@ -163,7 +163,8 @@ class TestWindowStatistics:
 
 class TestStreamJobs:
     def test_schema_version_bumped_for_stream_fields(self):
-        assert JOB_SCHEMA_VERSION == 7
+        # v7 added the stream fields; v8 dropped a portfolio rung.
+        assert JOB_SCHEMA_VERSION == 8
 
     def test_round_trip_and_label(self):
         job = BatchJob(

@@ -90,7 +90,7 @@ class TestCompile:
 class TestFlexibleConstraint:
     def test_budgets_cover_the_slack_range(self):
         graph = ring_graph(6)
-        results = compiler(flexible_emitter_slack=2).compile_flexible(graph)
+        results = compiler().compile_flexible(graph)
         base = minimum_emitters(graph)
         assert set(results) == {base, base + 1, base + 2}
 
@@ -102,8 +102,3 @@ class TestFlexibleConstraint:
                 graph,
                 photon_of_vertex=result.sequence.photon_of_vertex,
             )
-
-    def test_zero_slack_gives_single_variant(self):
-        graph = linear_cluster(5)
-        results = compiler(flexible_emitter_slack=0).compile_flexible(graph)
-        assert len(results) == 1
