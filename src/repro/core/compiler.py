@@ -93,6 +93,14 @@ class CompilationResult:
     #: state, but kept out of :meth:`summary` for the same reason as the
     #: cache counters: a warm cache changes it without changing the circuit.
     leaf_search_stats: LeafSearchStats = field(default_factory=LeafSearchStats)
+    #: Wall time of each pipeline stage in seconds, in pipeline order:
+    #: ``partition_lc``, ``emitter_bound``, ``leaf_search``,
+    #: ``recombination_plan``, ``global_reduction``, ``lc_correction``,
+    #: ``schedule_metrics`` and ``verify``.  The stages tile the compile, so
+    #: they sum to ``compile_time_seconds``.  Kept out of :meth:`summary`:
+    #: timings differ run to run, and summaries must stay a deterministic
+    #: function of the job.
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def num_emitter_emitter_cnots(self) -> int:
@@ -158,10 +166,20 @@ class EmitterCompiler:
             raise ValueError("cannot compile an empty graph state")
         config = self.config
         started = time.perf_counter()
+        stage_seconds: dict[str, float] = {}
+        stage_started = started
+
+        def lap(stage: str) -> None:
+            """Close ``stage`` now and start timing the next one."""
+            nonlocal stage_started
+            now = time.perf_counter()
+            stage_seconds[stage] = now - stage_started
+            stage_started = now
 
         # 1. Partition + LC.
         partition = self._partitioner.partition(target_graph)
         working_graph = partition.transformed_graph
+        lap("partition_lc")
 
         # 2. Emitter budget.  With an ordering strategy enabled the optimiser
         # searches for an emission ordering with a lower peak height; the
@@ -181,6 +199,7 @@ class EmitterCompiler:
         else:
             emitter_limit = max(1, int(-(-config.emitter_limit_factor * n_e_min // 1)))
         emitter_limit = max(emitter_limit, 1)
+        lap("emitter_bound")
 
         # 3. Per-subgraph compilation under the flexible constraint.
         cache = self._subgraph_compiler.cache
@@ -200,6 +219,7 @@ class EmitterCompiler:
         subgraph_cache_stats = (
             cache.stats.delta(cache_before) if cache is not None else None
         )
+        lap("leaf_search")
 
         # 4. Recombination plan.
         schedule_plan: SchedulePlan | None = None
@@ -216,6 +236,7 @@ class EmitterCompiler:
             candidate_plans.append(
                 [(list(reversed(ordering_search.ordering)), ())]
             )
+        lap("recombination_plan")
 
         # 5. Global reduction with emitter affinity; among the candidate block
         # orderings produced by the scheduler, keep the one with the fewest
@@ -224,9 +245,11 @@ class EmitterCompiler:
         sequence, circuit = self._best_global_reduction(
             working_graph, candidate_plans, emitter_limit
         )
+        lap("global_reduction")
 
         # 6. LC correction gates (map |G'> back to |G>).
         circuit = self._append_lc_corrections(circuit, partition, sequence)
+        lap("lc_correction")
 
         # 7. Gate-level scheduling, metrics, optional verification.
         schedule = schedule_circuit(
@@ -239,6 +262,7 @@ class EmitterCompiler:
             schedule=schedule,
             loss_model=config.hardware.loss_model(),
         )
+        lap("schedule_metrics")
         verified = None
         if config.verify:
             verified = verify_circuit_generates(
@@ -251,8 +275,9 @@ class EmitterCompiler:
                     "compilation failed verification — this indicates a bug in the "
                     "reduction engine or the LC correction stage"
                 )
+        lap("verify")
 
-        elapsed = time.perf_counter() - started
+        elapsed = stage_started - started
         return CompilationResult(
             circuit=circuit,
             sequence=sequence,
@@ -271,6 +296,7 @@ class EmitterCompiler:
             ),
             subgraph_cache_stats=subgraph_cache_stats,
             leaf_search_stats=leaf_search_stats,
+            stage_seconds=stage_seconds,
         )
 
     # ------------------------------------------------------------------ #

@@ -61,6 +61,16 @@ __all__ = ["BitsetReductionState", "PackedReductionState", "make_reduction_state
 
 Vertex = Hashable
 
+# Enum members as module constants: each lookup on the enum class costs
+# about a fifth of building the op that carries it.
+_SWAP = ReductionOpType.SWAP
+_ABSORB_LEAF = ReductionOpType.ABSORB_LEAF
+_ABSORB_DANGLING = ReductionOpType.ABSORB_DANGLING
+_ABSORB_TWIN = ReductionOpType.ABSORB_TWIN
+_DISCONNECT = ReductionOpType.DISCONNECT
+_EMIT_ISOLATED = ReductionOpType.EMIT_ISOLATED
+_FREE_EMITTER = ReductionOpType.FREE_EMITTER
+
 
 class BitsetReductionState:
     """Slot-indexed reduction state over integer-packed adjacency rows.
@@ -80,6 +90,13 @@ class BitsetReductionState:
     at O(emitters touched since the last pass).  Swaps only add bits to
     emitter rows, and twin removal cannot empty one: every emitter that
     loses the photon's bit is also adjacent to the twin.
+
+    Gate bound.  ``_disconnects`` counts ``DISCONNECT`` ops and ``_ee_edges``
+    the emitter-emitter edges of the working graph.  Only a hand-over (swap,
+    absorb-dangling) adds such edges — one per emitter neighbour of the
+    photon, since the receiving emitter's row is empty or holds only the
+    photon — and only a disconnect removes one, so the two counters are
+    exact and :meth:`ee_gate_bound` is their sum.
     """
 
     def __init__(
@@ -101,6 +118,8 @@ class BitsetReductionState:
         self.active_emitters: set[int] = set()
         self.num_emitters_allocated = 0
         self._touched: set[int] = set()
+        self._disconnects = 0
+        self._ee_edges = 0
         self.operations: list[ReductionOp] = []
         self._emit = self.operations.append
 
@@ -142,10 +161,23 @@ class BitsetReductionState:
         return self._rows[self._eoff + emitter].bit_count()
 
     def emitter_edge_count(self) -> int:
-        """Number of emitter-emitter edges (free emitters have empty rows)."""
+        """Number of emitter-emitter edges, recounted from the rows.
+
+        Free emitters have empty rows.  :meth:`ee_gate_bound` keeps the same
+        count incrementally.
+        """
         rows = self._rows
         off = self._eoff
         return sum((rows[off + e] >> off).bit_count() for e in self.active_emitters) // 2
+
+    def ee_gate_bound(self) -> int:
+        """``DISCONNECT`` ops so far plus emitter-emitter edges now.
+
+        A lower bound on the emitter-emitter gate count of any completion,
+        exact once the reduction is finished; read from two counters (see
+        the class docstring), in O(1).
+        """
+        return self._disconnects + self._ee_edges
 
     # ------------------------------------------------------------------ #
     # Snapshot / restore (the leaf-order search's shared-prefix walk)
@@ -155,9 +187,9 @@ class BitsetReductionState:
         """Everything a later :meth:`restore` needs to rewind to this point.
 
         Covers the rows, ``_alive``, the emitter pool, the free pass's
-        touched set and the op count — the whole state of a
-        :class:`PackedReductionState`, but not a streaming window's slot
-        maps and counters.
+        touched set, the gate-bound counters and the op count — the whole
+        state of a :class:`PackedReductionState`, but not a streaming
+        window's slot maps, which is why the streaming state refuses it.
         """
         return (
             list(self._rows),
@@ -167,6 +199,8 @@ class BitsetReductionState:
             self.num_emitters_allocated,
             self.emitters_over_budget,
             set(self._touched),
+            self._disconnects,
+            self._ee_edges,
             len(self.operations),
         )
 
@@ -174,9 +208,21 @@ class BitsetReductionState:
         """Rewind to ``snapshot``; it stays valid for further restores.
 
         ``operations`` is truncated in place because ``_emit`` is bound to
-        its ``append``.
+        its ``append``.  That makes this a rewind only: ``snapshot`` must lie
+        on the path to the current state, as a trie walk's ancestor does.
         """
-        rows, alive, free, active, allocated, over_budget, touched, num_ops = snapshot
+        (
+            rows,
+            alive,
+            free,
+            active,
+            allocated,
+            over_budget,
+            touched,
+            disconnects,
+            ee_edges,
+            num_ops,
+        ) = snapshot
         self._rows = list(rows)
         self._alive = alive
         self.free_emitters = set(free)
@@ -184,6 +230,8 @@ class BitsetReductionState:
         self.num_emitters_allocated = allocated
         self.emitters_over_budget = over_budget
         self._touched = set(touched)
+        self._disconnects = disconnects
+        self._ee_edges = ee_edges
         del self.operations[num_ops:]
 
     # ------------------------------------------------------------------ #
@@ -197,10 +245,15 @@ class BitsetReductionState:
 
     def find_dangling_emitter(self, photon: int) -> int | None:
         """Smallest emitter adjacent to ``photon`` whose only neighbour is it."""
+        rows = self._rows
         off = self._eoff
-        for bit in iter_bits(self._rows[photon] >> off):
-            if self._rows[off + bit].bit_count() == 1:
-                return bit
+        bits = rows[photon] >> off
+        while bits:
+            low = bits & -bits
+            emitter = low.bit_length() - 1
+            if rows[off + emitter].bit_count() == 1:
+                return emitter
+            bits ^= low
         return None
 
     def find_leaf_host(self, photon: int) -> int | None:
@@ -241,12 +294,18 @@ class BitsetReductionState:
 
     def disconnect_absorb_candidate(self, photon: int) -> tuple[int, int] | None:
         """Best ``(cost, emitter)`` for the disconnect-absorb move, or ``None``."""
+        rows = self._rows
         off = self._eoff
+        photon_mask = self._photon_mask
         photon_bit = 1 << photon
         best: tuple[int, int] | None = None
-        for e in iter_bits(self._rows[photon] >> off):
-            erow = self._rows[off + e]
-            if erow & self._photon_mask != photon_bit:
+        bits = rows[photon] >> off
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            e = low.bit_length() - 1
+            erow = rows[off + e]
+            if erow & photon_mask != photon_bit:
                 continue  # the emitter has other photon neighbours
             cost = (erow >> off).bit_count()
             if best is None or cost < best[0]:
@@ -318,11 +377,9 @@ class BitsetReductionState:
         self._rows[idx_b] &= ~(1 << idx_a)
         self._touched.add(emitter_a)
         self._touched.add(emitter_b)
-        self._emit(
-            ReductionOp(
-                ReductionOpType.DISCONNECT, emitter=emitter_a, emitter_b=emitter_b, tag=tag
-            )
-        )
+        self._disconnects += 1
+        self._ee_edges -= 1
+        self._emit(ReductionOp(_DISCONNECT, emitter_a, emitter_b, None, tag))
 
     def apply_free_emitter(self, emitter: int, tag: str = "") -> None:
         """Release an isolated active emitter back into the free pool."""
@@ -332,10 +389,12 @@ class BitsetReductionState:
             raise ValueError(f"emitter {emitter} is not isolated and cannot be freed")
         self.active_emitters.discard(emitter)
         self.free_emitters.add(emitter)
-        self._emit(ReductionOp(ReductionOpType.FREE_EMITTER, emitter=emitter, tag=tag))
+        self._emit(ReductionOp(_FREE_EMITTER, emitter, None, None, tag))
 
     def free_isolated_emitters(self, tag: str = "") -> list[int]:
         """Free every active emitter that has become isolated; return their ids."""
+        if not self._touched:
+            return []
         rows = self._rows
         off = self._eoff
         freed = []
@@ -358,8 +417,11 @@ class BitsetReductionState:
             self.apply_disconnect(a, b, tag=tag)
         return len(pairs)
 
-    def _release_all_emitters(self, tag: str) -> None:
-        """Disconnect leftover emitter edges and free every emitter."""
+    def release_all_emitters(self, tag: str = "") -> None:
+        """The tail of ``finish``: disconnect leftover edges, free every emitter.
+
+        A second call is a no-op, so ``finish`` may follow it.
+        """
         self.disconnect_all_emitter_edges(tag=tag)
         self.free_isolated_emitters(tag=tag)
         if self.active_emitters:  # pragma: no cover - defensive
@@ -372,11 +434,16 @@ class BitsetReductionState:
     def _hand_over(self, photon: int, emitter_index: int, row: int) -> None:
         """Give row ``emitter_index`` the neighbours ``row`` and detach ``photon``."""
         rows = self._rows
-        photon_bit = 1 << photon
+        keep = ~(1 << photon)
         emitter_bit = 1 << emitter_index
         rows[emitter_index] = row
-        for j in iter_bits(row):
-            rows[j] = (rows[j] & ~photon_bit) | emitter_bit
+        self._ee_edges += (row >> self._eoff).bit_count()
+        bits = row
+        while bits:
+            low = bits & -bits
+            j = low.bit_length() - 1
+            rows[j] = (rows[j] & keep) | emitter_bit
+            bits ^= low
         rows[photon] = 0
 
     def apply_swap(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
@@ -384,11 +451,7 @@ class BitsetReductionState:
         self._require_photon(photon)
         emitter_id = self.acquire_free_emitter(preferred=emitter)
         self._hand_over(photon, self._eoff + emitter_id, self._rows[photon])
-        self._emit(
-            ReductionOp(
-                ReductionOpType.SWAP, emitter=emitter_id, photon=self._name[photon], tag=tag
-            )
-        )
+        self._emit(ReductionOp(_SWAP, emitter_id, None, self._name[photon], tag))
         self._release(photon)
         return emitter_id
 
@@ -404,11 +467,7 @@ class BitsetReductionState:
         self._rows[eidx] &= ~(1 << photon)
         self._rows[photon] = 0
         self._touched.add(emitter)
-        self._emit(
-            ReductionOp(
-                ReductionOpType.ABSORB_LEAF, emitter=emitter, photon=self._name[photon], tag=tag
-            )
-        )
+        self._emit(ReductionOp(_ABSORB_LEAF, emitter, None, self._name[photon], tag))
         self._release(photon)
 
     def apply_absorb_dangling(self, emitter: int, photon: int, tag: str = "") -> None:
@@ -422,11 +481,7 @@ class BitsetReductionState:
             )
         self._hand_over(photon, eidx, self._rows[photon] & ~(1 << eidx))
         self._touched.add(emitter)
-        self._emit(
-            ReductionOp(
-                ReductionOpType.ABSORB_DANGLING, emitter=emitter, photon=self._name[photon], tag=tag
-            )
-        )
+        self._emit(ReductionOp(_ABSORB_DANGLING, emitter, None, self._name[photon], tag))
         self._release(photon)
 
     def apply_absorb_twin(self, emitter: int, photon: int, tag: str = "") -> None:
@@ -448,11 +503,7 @@ class BitsetReductionState:
         for j in iter_bits(row):
             self._rows[j] &= ~photon_bit
         self._rows[photon] = 0
-        self._emit(
-            ReductionOp(
-                ReductionOpType.ABSORB_TWIN, emitter=emitter, photon=self._name[photon], tag=tag
-            )
-        )
+        self._emit(ReductionOp(_ABSORB_TWIN, emitter, None, self._name[photon], tag))
         self._release(photon)
 
     def apply_emit_isolated(self, photon: int, emitter: int | None = None, tag: str = "") -> int:
@@ -461,14 +512,7 @@ class BitsetReductionState:
         if self._rows[photon]:
             raise ValueError(f"photon {self._name[photon]} is not isolated")
         emitter_id = self._emission_source(emitter)
-        self._emit(
-            ReductionOp(
-                ReductionOpType.EMIT_ISOLATED,
-                emitter=emitter_id,
-                photon=self._name[photon],
-                tag=tag,
-            )
-        )
+        self._emit(ReductionOp(_EMIT_ISOLATED, emitter_id, None, self._name[photon], tag))
         self._release(photon)
         return emitter_id
 
@@ -529,7 +573,7 @@ class PackedReductionState(BitsetReductionState):
                 "cannot finish the reduction: photons remain in the working graph "
                 f"({self.remaining_photons()})"
             )
-        self._release_all_emitters(tag)
+        self.release_all_emitters(tag)
         return ReductionSequence(
             operations=list(self.operations),
             num_photons=self.num_photons,

@@ -14,75 +14,86 @@ candidate ever needs the circuit.
 :func:`score_sequence` computes the identical objective tuple directly from
 the operation sequence: it expands each reversed operation into the exact
 gate list :func:`~repro.core.reduction.forward_circuit_from_sequence` would
-emit — as bare ``(operands, duration)`` tuples — and replays the same
+emit — as flat tuples over int qubit keys — and replays the same
 ALAP dependency-list recurrences as
 :func:`repro.circuit.timing.schedule_circuit` (ALAP is the framework's only
 scheduling policy).  The floating-point
 arithmetic is performed in the same order, so the scores are **bit-identical**
 to the metrics of the materialised circuit and candidate selection is
 unchanged; only the per-candidate cost drops (no object churn, one dict
-walk).
+walk per pass).
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.circuit.timing import GateDurations
-from repro.core.reduction import ReductionOpType, ReductionSequence
+from repro.core.reduction import ReductionOp, ReductionOpType, ReductionSequence
 
 __all__ = ["score_sequence"]
 
+_SWAP = ReductionOpType.SWAP
+_ABSORB_LEAF = ReductionOpType.ABSORB_LEAF
+_ABSORB_DANGLING = ReductionOpType.ABSORB_DANGLING
+_ABSORB_TWIN = ReductionOpType.ABSORB_TWIN
+_DISCONNECT = ReductionOpType.DISCONNECT
+_EMIT_ISOLATED = ReductionOpType.EMIT_ISOLATED
+_FREE_EMITTER = ReductionOpType.FREE_EMITTER
+
 
 def _expanded_gates(
-    sequence: ReductionSequence, durations: GateDurations
-) -> list[tuple[tuple[tuple[str, int], ...], float, int | None]]:
-    """The forward gate list as ``(operand keys, duration, emitted photon)``.
+    operations: Sequence[ReductionOp], durations: GateDurations
+) -> tuple[list[tuple[int, int | None, float, int | None]], int]:
+    """The forward gate list and its emitter-emitter gate count.
 
-    Mirrors :func:`repro.core.reduction.forward_circuit_from_sequence` gate
-    for gate; operand keys match :func:`repro.circuit.timing._qubit_key`
-    (conditional-Pauli operands included, exactly as the scheduler sees
-    them).  ``emitted photon`` is set on ``EMIT`` entries only.
+    Each gate is ``(qubit, second qubit or None, duration, emitted photon or
+    None)``; it mirrors :func:`repro.core.reduction.forward_circuit_from_sequence`
+    gate for gate, with the operands the scheduler sees (conditional-Pauli
+    operands included).  Qubits are ints: emitter ``e`` is ``e`` and photon
+    ``p`` is ``~p``, so the two never collide.  The emitted photon is set on
+    ``EMIT`` gates only.
     """
     emit = durations.emission
     e1 = durations.emitter_single_qubit
     p1 = durations.photon_single_qubit
     meas = durations.measurement
     cz = durations.emitter_emitter_gate
-    gates: list[tuple[tuple[tuple[str, int], ...], float, int | None]] = []
-    for op in reversed(sequence.operations):
-        e = ("emitter", op.emitter) if op.emitter is not None else None
-        p = ("photon", op.photon) if op.photon is not None else None
-        kind = op.op_type
-        if kind is ReductionOpType.SWAP:
-            gates.append(((e, p), emit, op.photon))
-            gates.append(((e,), e1, None))
-            # MEASURE_Z with a conditional Z on the photon: the photon is an
-            # operand of the measurement for scheduling purposes.
-            gates.append(((e, p), meas, None))
-        elif kind is ReductionOpType.ABSORB_LEAF:
-            gates.append(((e, p), emit, op.photon))
-            gates.append(((p,), p1, None))
-        elif kind is ReductionOpType.ABSORB_DANGLING:
-            gates.append(((e, p), emit, op.photon))
-            gates.append(((e,), e1, None))
-        elif kind is ReductionOpType.ABSORB_TWIN:
-            gates.append(((e,), e1, None))
-            gates.append(((e, p), emit, op.photon))
-            gates.append(((p,), p1, None))
-            gates.append(((e,), e1, None))
-        elif kind is ReductionOpType.DISCONNECT:
-            gates.append(((e, ("emitter", op.emitter_b)), cz, None))
-        elif kind is ReductionOpType.EMIT_ISOLATED:
-            gates.append(((e, p), emit, op.photon))
-            gates.append(((p,), p1, None))
-        elif kind is ReductionOpType.FREE_EMITTER:
-            gates.append(((e,), e1, None))
-        else:  # pragma: no cover - the enum is closed
-            raise ValueError(f"unknown reduction operation {op!r}")
-    return gates
+    gates: list[tuple[int, int | None, float, int | None]] = []
+    add = gates.append
+    cnots = 0
+    for kind, e, e_b, photon, _ in reversed(operations):
+        if kind is _DISCONNECT:
+            add((e, e_b, cz, None))
+            cnots += 1
+        elif kind is _FREE_EMITTER:
+            add((e, None, e1, None))
+        else:
+            p = ~photon
+            if kind is _SWAP:
+                add((e, p, emit, photon))
+                add((e, None, e1, None))
+                # MEASURE_Z with a conditional Z on the photon: the photon is
+                # an operand of the measurement for scheduling purposes.
+                add((e, p, meas, None))
+            elif kind is _ABSORB_LEAF or kind is _EMIT_ISOLATED:
+                add((e, p, emit, photon))
+                add((p, None, p1, None))
+            elif kind is _ABSORB_DANGLING:
+                add((e, p, emit, photon))
+                add((e, None, e1, None))
+            elif kind is _ABSORB_TWIN:
+                add((e, None, e1, None))
+                add((e, p, emit, photon))
+                add((p, None, p1, None))
+                add((e, None, e1, None))
+            else:  # pragma: no cover - the enum is closed
+                raise ValueError(f"unknown reduction operation {kind!r}")
+    return gates, cnots
 
 
 def score_sequence(
-    sequence: ReductionSequence,
+    sequence: ReductionSequence | Sequence[ReductionOp],
     durations: GateDurations | None = None,
     cnot_cutoff: float | None = None,
 ) -> tuple[float, float, float] | None:
@@ -95,8 +106,10 @@ def score_sequence(
 
     Parameters
     ----------
-    sequence : ReductionSequence
-        A complete reduction (as returned by ``finish``/``greedy_reduce``).
+    sequence : ReductionSequence | Sequence[ReductionOp]
+        A complete reduction (as returned by ``finish``/``greedy_reduce``),
+        or the operation list of one: the leaf-order search scores its
+        state's live list and builds a sequence only for a new incumbent.
     durations : GateDurations | None, optional
         Hardware gate durations; ``None`` uses the quantum-dot defaults.
     cnot_cutoff : float | None, optional
@@ -108,46 +121,69 @@ def score_sequence(
     """
     if durations is None:
         durations = GateDurations()
-
-    cnots = float(sequence.num_emitter_emitter_gates)
+    operations = (
+        sequence.operations if isinstance(sequence, ReductionSequence) else sequence
+    )
+    gates, cnots = _expanded_gates(operations, durations)
     if cnot_cutoff is not None and cnots > cnot_cutoff:
         return None
 
-    gates = _expanded_gates(sequence, durations)
-
-    # ASAP pass for the makespan (same recurrence as schedule_circuit, same
-    # float order).
-    ready: dict[tuple[str, int], float] = {}
+    # ASAP pass for the makespan: the recurrence of schedule_circuit, with
+    # max/min over a gate's one or two operands spelled out (same values,
+    # same float operations).
+    ready: dict[int, float] = {}
+    get = ready.get
     makespan = 0.0
-    for operands, duration, _ in gates:
-        start = max((ready.get(q, 0.0) for q in operands), default=0.0)
-        end = start + duration
-        makespan = max(makespan, end)
-        for q in operands:
-            ready[q] = end
+    for a, b, duration, _ in gates:
+        start = get(a, 0.0)
+        if b is not None:
+            other = get(b, 0.0)
+            if other > start:
+                start = other
+            end = start + duration
+            ready[b] = end
+        else:
+            end = start + duration
+        ready[a] = end
+        if end > makespan:
+            makespan = end
 
-    # ALAP pass: schedule the reversed circuit ASAP, then mirror.
+    # ALAP pass: schedule the reversed circuit ASAP, then mirror.  Only the
+    # earliest start, the latest end and the emission ends are kept.
     ready = {}
-    end_times = [0.0] * len(gates)
-    for i in range(len(gates) - 1, -1, -1):
-        operands, duration, _ = gates[i]
-        end = min((ready.get(q, makespan) for q in operands), default=makespan)
-        end_times[i] = end
-        start = end - duration
-        for q in operands:
-            ready[q] = start
-    alap_start = [e - d for e, (_, d, _) in zip(end_times, gates)]
-    shift = -min(alap_start, default=0.0)
+    get = ready.get
+    lowest_start = 0.0  # the shift below applies only to a negative start
+    latest_end = 0.0 if not gates else -float("inf")
+    emission_ends: list[tuple[int, float]] = []  # reversed gate order
+    for a, b, duration, photon in reversed(gates):
+        end = get(a, makespan)
+        if b is not None:
+            other = get(b, makespan)
+            if other < end:
+                end = other
+            start = end - duration
+            ready[b] = start
+        else:
+            start = end - duration
+        ready[a] = start
+        if start < lowest_start:
+            lowest_start = start
+        if end > latest_end:
+            latest_end = end
+        if photon is not None:
+            emission_ends.append((photon, end))
+    shift = -lowest_start
     if shift > 0:
-        end_times = [e + shift for e in end_times]
-    final_makespan = max(end_times, default=0.0)
+        # Rounding is monotone, so max(e + shift) == max(e) + shift exactly.
+        latest_end = latest_end + shift
+        emission_ends = [(photon, end + shift) for photon, end in emission_ends]
+    final_makespan = latest_end
 
     # Average photon-loss duration, accumulated in gate order exactly like
     # Schedule.emission_times() / photon_exposure_times().
     emission_end: dict[int, float] = {}
-    for (_, _, photon), end in zip(gates, end_times):
-        if photon is not None:
-            emission_end[photon] = end
+    for photon, end in reversed(emission_ends):
+        emission_end[photon] = end
     if emission_end:
         average_loss = sum(
             final_makespan - t for t in emission_end.values()
@@ -155,4 +191,4 @@ def score_sequence(
     else:
         average_loss = 0.0
 
-    return (cnots, average_loss, final_makespan)
+    return (float(cnots), average_loss, final_makespan)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import GateName, photon as photon_qubit
@@ -73,13 +73,17 @@ class ReductionOpType(str, enum.Enum):
     FREE_EMITTER = "free_emitter"
 
 
-@dataclass(frozen=True)
-class ReductionOp:
+class ReductionOp(NamedTuple):
     """One reversed operation.
 
     ``emitter`` / ``emitter_b`` are emitter ids (integers local to the
     reduction), ``photon`` is the photon index of the removed/affected photon,
     and ``tag`` lets callers attribute the operation to a pipeline stage.
+
+    A named tuple, so it is immutable and cheap to build: the reduction
+    states emit one per rewrite, and the leaf-order search runs hundreds of
+    thousands of rewrites per compile.  The hot paths build it positionally,
+    in field order ``(op_type, emitter, emitter_b, photon, tag)``.
     """
 
     op_type: ReductionOpType
@@ -257,6 +261,19 @@ class ReductionState:
         """Number of emitter-emitter edges in the working graph."""
         return sum(1 for u, v in self.graph.edges() if u[0] == "e" and v[0] == "e")
 
+    def ee_gate_bound(self) -> int:
+        """``DISCONNECT`` ops so far plus emitter-emitter edges now, recounted.
+
+        Every remaining edge costs one more ``DISCONNECT`` before the
+        reduction ends, so this is a lower bound on the emitter-emitter gate
+        count of any completion, and the exact count once the reduction is
+        finished.  The bitset states keep it as two counters.
+        """
+        disconnects = sum(
+            1 for op in self.operations if op.op_type is ReductionOpType.DISCONNECT
+        )
+        return disconnects + self.emitter_edge_count()
+
     # ------------------------------------------------------------------ #
     # Snapshot / restore (the leaf-order search's shared-prefix walk)
     # ------------------------------------------------------------------ #
@@ -276,7 +293,9 @@ class ReductionState:
         """Rewind to ``snapshot``; it stays valid for further restores.
 
         ``operations`` is truncated in place, so a reference to the list
-        (or to its ``append``) keeps seeing the state's operations.
+        (or to its ``append``) keeps seeing the state's operations.  That
+        makes this a rewind only: ``snapshot`` must lie on the path to the
+        current state, as a trie walk's ancestor does.
         """
         graph, free, active, allocated, over_budget, num_ops = snapshot
         self.graph = graph.copy()
@@ -580,6 +599,16 @@ class ReductionState:
             self.apply_disconnect(a, b, tag=tag)
         return len(pairs)
 
+    def release_all_emitters(self, tag: str = "") -> None:
+        """The tail of :meth:`finish`: disconnect leftover edges, free every emitter.
+
+        A second call is a no-op, so :meth:`finish` may follow it.
+        """
+        self.disconnect_all_emitter_edges(tag=tag)
+        self.free_isolated_emitters(tag=tag)
+        if self.active_emitters:  # pragma: no cover - defensive
+            raise RuntimeError(f"emitters left active after finish: {self.active_emitters}")
+
     def finish(self, tag: str = "") -> ReductionSequence:
         """Disconnect leftover emitter edges, free emitters and return the sequence.
 
@@ -591,10 +620,7 @@ class ReductionState:
                 "cannot finish the reduction: photons remain in the working graph "
                 f"({self.remaining_photons()})"
             )
-        self.disconnect_all_emitter_edges(tag=tag)
-        self.free_isolated_emitters(tag=tag)
-        if self.active_emitters:  # pragma: no cover - defensive
-            raise RuntimeError(f"emitters left active after finish: {self.active_emitters}")
+        self.release_all_emitters(tag)
         return ReductionSequence(
             operations=list(self.operations),
             num_photons=self.num_photons,

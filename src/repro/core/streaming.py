@@ -124,6 +124,20 @@ class StreamingReductionState(BitsetReductionState):
         self._free_slots.append(slot)
         self.photons_reduced += 1
 
+    def snapshot(self) -> tuple:
+        """Not supported: a snapshot would miss the window's slot maps."""
+        raise NotImplementedError(
+            "StreamingReductionState cannot snapshot its window; "
+            "snapshot/restore serve whole-graph states only"
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        """Not supported; see :meth:`snapshot`."""
+        raise NotImplementedError(
+            "StreamingReductionState cannot restore its window; "
+            "snapshot/restore serve whole-graph states only"
+        )
+
     def finish(self, tag: str = "") -> None:
         """Disconnect leftover emitter edges and free every emitter."""
         if self._slot_of:
@@ -131,7 +145,7 @@ class StreamingReductionState(BitsetReductionState):
                 "cannot finish the streaming reduction: photons remain in the "
                 f"window ({sorted(self._slot_of)[:8]}...)"
             )
-        self._release_all_emitters(tag)
+        self.release_all_emitters(tag)
 
 
 @dataclass

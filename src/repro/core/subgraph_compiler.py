@@ -57,7 +57,7 @@ from repro.core.config import CompilerConfig
 from repro.core.ordering import optimize_emission_ordering
 from repro.core.packed_reduction import make_reduction_state
 from repro.core.plan_scoring import score_sequence
-from repro.core.reduction import ReductionOpType, ReductionSequence
+from repro.core.reduction import ReductionSequence
 from repro.core.strategies import GreedyReductionStrategy, reduce_and_free
 from repro.graphs.canonical_form import (
     CanonicalForm,
@@ -227,11 +227,12 @@ class _OrderTrieWalk:
     (one edge per op): photon rewrites only add bits to emitter rows or clear
     photon bits, and an emitter is freed only with an empty row.  Every edge
     still present must be disconnected before the reduction ends, so
-    ``DISCONNECT ops so far + emitter-emitter edges now`` never exceeds the
-    ee-gate count of any completion, never falls along a prefix, and equals
-    the exact count at a complete order.  A subtree whose bound is strictly
-    above the incumbent's count cannot hold a winner and is cut; a tie is
-    still scored on loss and duration.
+    ``DISCONNECT ops so far + emitter-emitter edges now`` (the state's
+    ``ee_gate_bound()``) never exceeds the ee-gate count of any completion,
+    never falls along a prefix, and equals the exact count at a complete
+    order.  A subtree whose bound is strictly above the incumbent's count
+    cannot hold a winner and is cut; a tie is still scored on loss and
+    duration.
 
     **Budget pressure.**  ``compile_flexible`` reuses a result for larger
     budgets when ``search_max < budget``, so that answer must not depend on
@@ -271,56 +272,57 @@ class _OrderTrieWalk:
                 node = node.setdefault(vertex, {})
             node[order[-1]] = index
         self.stats.orders += len(orders)
-        self._walk(trie, 0)
+        self._walk(trie)
         assert self.best is not None
         _, index, sequence = self.best
         return index, sequence, min(self.search_max, self.budget)
 
-    def _walk(self, node: dict, disconnects: int) -> None:
+    def _walk(self, node: dict) -> None:
         """Walk every subtree of ``node``; the state holds ``node``'s prefix.
 
         A child is a subtree dict, or the candidate index of a complete
         order.  Chains of only children are followed without recursing.
         """
         state = self.state
-        ops = state.operations
         photon_of = state.photon_of_vertex
+        strategy = self.strategy
+        stats = self.stats
         snapshot = state.snapshot() if len(node) > 1 else None
         for position, (vertex, child) in enumerate(node.items()):
             if position:
                 state.restore(snapshot)
-            count = disconnects
             while True:
-                mark = len(ops)
-                reduce_and_free(state, photon_of[vertex], self.strategy)
-                self.stats.steps += 1
-                for op in ops[mark:]:
-                    if op.op_type is ReductionOpType.DISCONNECT:
-                        count += 1
+                reduce_and_free(state, photon_of[vertex], strategy)
+                stats.steps += 1
                 if state.num_emitters_allocated > self.search_max:
                     self.search_max = state.num_emitters_allocated
                 complete = not isinstance(child, dict)
                 best = self.best
                 if best is not None and (complete or self.search_max >= self.budget):
-                    if count + state.emitter_edge_count() > best[0][0]:
+                    if state.ee_gate_bound() > best[0][0]:
                         if not complete:
-                            self.stats.subtrees_pruned += 1
+                            stats.subtrees_pruned += 1
                         break
                 if complete:
                     self._score(child)
                     break
                 if len(child) > 1:
-                    self._walk(child, count)
+                    self._walk(child)
                     break
                 ((vertex, child),) = child.items()
 
     def _score(self, index: int) -> None:
-        """Finish the complete order ``index`` and keep it if it wins."""
-        sequence = self.state.finish()
-        key = score_sequence(sequence, durations=self.durations)
+        """Finish the complete order ``index`` and keep it if it wins.
+
+        The key is read from the state's live op list; the
+        :class:`ReductionSequence` is built only for a new incumbent.
+        """
+        state = self.state
+        state.release_all_emitters()
+        key = score_sequence(state.operations, durations=self.durations)
         self.stats.orders_scored += 1
         if self.best is None or (key, index) < self.best[:2]:
-            self.best = (key, index, sequence)
+            self.best = (key, index, state.finish())
 
 
 class SubgraphCompiler:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.compile_cache import (
 )
 from repro.core.compiler import compile_graph
 from repro.core.config import CompilerConfig
+from repro.core.reduction import ReductionOp, ReductionOpType
 from repro.core.subgraph_compiler import SubgraphCompiler
 from repro.graphs.generators import (
     lattice_graph,
@@ -34,6 +36,23 @@ def fresh_process_cache():
     reset_process_cache()
     yield
     reset_process_cache()
+
+
+#: ``CachedCompilation.as_dict()`` of the erdos-7 (seed 1) leaf under
+#: ``small_config()``, written while ``ReductionOp`` was a frozen dataclass.
+PRE_NAMED_TUPLE_ENTRY = """{"schema_version": 2, "processing_order": [5, 0, 3, 4, 6, 2, 1],
+"operations": [["swap", 0, null, 5, ""], ["absorb_leaf", 0, null, 0, ""],
+["swap", 1, null, 3, ""], ["absorb_twin", 1, null, 4, ""], ["disconnect", 0, 1, null, ""],
+["absorb_dangling", 0, null, 6, ""], ["absorb_twin", 0, null, 2, ""],
+["absorb_leaf", 0, null, 1, ""], ["disconnect", 0, 1, null, ""],
+["free_emitter", 0, null, null, ""], ["free_emitter", 1, null, null, ""]],
+"num_photons": 7, "num_emitters": 2, "emitters_over_budget": 0,
+"metrics": {"num_emitter_emitter_cnots": 2, "num_emissions": 7, "num_single_qubit_gates": 13,
+"num_measurements": 2, "num_gates": 24, "duration": 2.95,
+"average_photon_loss_duration": 0.8285714285714286, "total_photon_exposure": 5.800000000000001,
+"max_emitters_in_use": 2, "num_emitters": 2, "num_photons": 7,
+"photon_survival_probability": null, "photon_loss_probability": null},
+"orders_evaluated": 24, "search_max_emitters": 2}"""
 
 
 def small_config(**overrides) -> CompilerConfig:
@@ -100,6 +119,21 @@ class TestCacheContainer:
         assert clone.metrics == entry.metrics  # bit-exact floats via JSON repr
         assert clone.search_max_emitters == entry.search_max_emitters
         assert clone.circuit().gates == entry.circuit().gates
+
+    def test_entry_written_before_ops_became_named_tuples_still_loads(self):
+        # Disk-tier JSON from the release whose ReductionOp was a frozen
+        # dataclass: the JSON form did not change, so neither did the schema.
+        entry = CachedCompilation.from_dict(json.loads(PRE_NAMED_TUPLE_ENTRY))
+        assert all(type(op) is ReductionOp for op in entry.operations)
+        assert {op.op_type for op in entry.operations} == set(ReductionOpType) - {
+            ReductionOpType.EMIT_ISOLATED
+        }
+        assert repr(entry.operations[3]) == "absorb_twin(e1,p4)"
+        assert entry.as_dict() == json.loads(PRE_NAMED_TUPLE_ENTRY)
+        # The same leaf, searched today, gives the identical entry.
+        graph = GraphSpec(family="erdos", size=7, seed=1).build()
+        _, fresh = make_entry(SubgraphCompiler(small_config()), graph)
+        assert fresh.as_dict() == entry.as_dict()
 
     def test_stale_schema_version_is_rejected(self):
         compiler = SubgraphCompiler(small_config())

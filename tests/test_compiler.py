@@ -101,6 +101,36 @@ class TestResultContents:
         assert len(result.subgraph_results) == result.partition.num_blocks
         assert result.schedule_plan is not None
 
+    def test_stage_seconds_tile_the_compile(self, result):
+        assert list(result.stage_seconds) == [
+            "partition_lc",
+            "emitter_bound",
+            "leaf_search",
+            "recombination_plan",
+            "global_reduction",
+            "lc_correction",
+            "schedule_metrics",
+            "verify",
+        ]
+        assert all(seconds >= 0 for seconds in result.stage_seconds.values())
+        total = sum(result.stage_seconds.values())
+        assert 0.95 * result.compile_time_seconds <= total
+        assert total <= result.compile_time_seconds * (1 + 1e-9)
+
+    def test_stage_seconds_stay_out_of_the_summary(self, result):
+        # summary() feeds the result cache's content hashes, so its keys are
+        # pinned: a timing field there would change every hash.
+        assert set(result.summary()) == {
+            *result.metrics.as_dict(),
+            "num_stem_edges",
+            "num_blocks",
+            "num_lc_operations",
+            "minimum_emitters",
+            "emitter_limit",
+            "compile_time_seconds",
+            "ordering_strategy",
+        }
+
     def test_emitter_limit_derivation(self, result):
         assert result.emitter_limit >= result.minimum_emitters
         assert result.compile_time_seconds > 0

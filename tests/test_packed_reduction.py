@@ -20,10 +20,15 @@ from repro.circuit.validation import verify_circuit_generates
 from repro.core.compiler import compile_graph
 from repro.core.packed_reduction import PackedReductionState, make_reduction_state
 from repro.core.plan_scoring import score_sequence
-from repro.core.reduction import InsufficientEmittersError, ReductionState
+from repro.core.reduction import (
+    InsufficientEmittersError,
+    ReductionOpType,
+    ReductionState,
+)
 from repro.core.strategies import GreedyReductionStrategy, greedy_reduce
 from repro.graphs.generators import lattice_graph, linear_cluster, star_graph
 from repro.graphs.graph_state import GraphState
+from repro.hardware import get_hardware_model
 from repro.pipeline.jobs import GraphSpec
 
 #: The seven scenario-zoo families the fast path must agree with the oracle on.
@@ -199,21 +204,84 @@ class TestPackedStateBasics:
             PackedReductionState(graph, photon_order=[0, 1])
 
 
+#: Strategies the scoring tests reduce with: the default, and a budget of one
+#: that prefers liberating an idle emitter over allocating (the liberation path).
+SCORING_STRATEGIES = {
+    "default": GreedyReductionStrategy(),
+    "liberate": GreedyReductionStrategy(
+        emitter_budget=1, prefer_disconnect_over_allocate=True
+    ),
+}
+
+#: Hardware presets whose gate durations the scorer must honour.
+SCORING_HARDWARE = ("quantum_dot", "nv_center", "siv_center", "rydberg_atom")
+
+#: Fixed scoring cases that together reach every op type and path.
+SCORING_EXAMPLES = (
+    # Twins, isolated photons, and photon 0 emitted from emitter 0.
+    ("percolated", 0, "default", "nv_center", True),
+    # ABSORB_LEAF.
+    ("surface", 0, "default", "rydberg_atom", True),
+    # Liberation: DISCONNECT(e, .), FREE_EMITTER(e), then a SWAP.
+    ("smallworld", 1, "liberate", "siv_center", True),
+)
+
+
+def scored_sequence(family, seed, strategy, hardware, isolated):
+    """Reduce a zoo graph and assert the scorer equals the circuit metrics.
+
+    ``isolated`` adds a vertex with no edges, which the reduction removes
+    with ``EMIT_ISOLATED``.  Both accepted inputs are scored: the sequence
+    and its bare operation list.
+    """
+    graph = zoo_graph(family, 10, seed)
+    if isolated:
+        graph.add_vertex("isolated")
+    sequence = greedy_reduce(graph, strategy=SCORING_STRATEGIES[strategy])
+    durations = get_hardware_model(hardware).durations
+    metrics = compute_metrics(sequence.to_circuit(), durations=durations, policy="alap")
+    expected = (
+        float(metrics.num_emitter_emitter_cnots),
+        metrics.average_photon_loss_duration,
+        metrics.duration,
+    )
+    assert score_sequence(sequence, durations=durations) == expected
+    assert score_sequence(sequence.operations, durations=durations) == expected
+    return sequence
+
+
 class TestPlanScoring:
     @given(
         family=st.sampled_from(ZOO_FAMILIES),
         seed=st.integers(0, 5_000),
+        strategy=st.sampled_from(sorted(SCORING_STRATEGIES)),
+        hardware=st.sampled_from(SCORING_HARDWARE),
+        isolated=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_score_matches_materialised_metrics(self, family, seed):
-        graph = zoo_graph(family, 10, seed)
-        sequence = greedy_reduce(graph, strategy=GreedyReductionStrategy())
-        metrics = compute_metrics(sequence.to_circuit(), policy="alap")
-        assert score_sequence(sequence) == (
-            float(metrics.num_emitter_emitter_cnots),
-            metrics.average_photon_loss_duration,
-            metrics.duration,
-        )
+    def test_score_matches_materialised_metrics(
+        self, family, seed, strategy, hardware, isolated
+    ):
+        scored_sequence(family, seed, strategy, hardware, isolated)
+
+    def test_score_examples_reach_every_op_type_and_path(self):
+        sequences = [scored_sequence(*case) for case in SCORING_EXAMPLES]
+        ops = [op for sequence in sequences for op in sequence.operations]
+        assert {op.op_type for op in ops} == set(ReductionOpType)
+        # Emitter 0 and photon 0 are the int keys 0 and ~0 inside the scorer.
+        assert any(op.emitter == 0 and op.photon == 0 for op in ops)
+        liberations = [
+            (a, b, c)
+            for sequence in sequences
+            for a, b, c in zip(
+                sequence.operations, sequence.operations[1:], sequence.operations[2:]
+            )
+            if a.op_type is ReductionOpType.DISCONNECT
+            and b.op_type is ReductionOpType.FREE_EMITTER
+            and c.op_type is ReductionOpType.SWAP
+            and a.emitter == b.emitter
+        ]
+        assert liberations
 
 
 class TestCompilerBackendEquivalence:

@@ -9,11 +9,14 @@ and bookkeeping (emitter budgets, finish) are covered as well.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.circuit.validation import verify_circuit_generates
 from repro.core.reduction import (
     InsufficientEmittersError,
+    ReductionOp,
     ReductionOpType,
     ReductionState,
 )
@@ -200,3 +203,52 @@ class TestBudgetsAndFinish:
     def test_invalid_photon_order_rejected(self):
         with pytest.raises(ValueError):
             ReductionState(linear_cluster(3), photon_order=[0, 1])
+
+
+class TestReductionOpContract:
+    def test_ops_are_immutable(self):
+        op = ReductionOp(ReductionOpType.SWAP, emitter=0, photon=3)
+        with pytest.raises(AttributeError):
+            op.photon = 4  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            op.tag = "x"  # type: ignore[misc]
+
+    def test_repr_and_defaults(self):
+        assert repr(ReductionOp(ReductionOpType.SWAP, emitter=0, photon=3)) == "swap(e0,p3)"
+        assert (
+            repr(ReductionOp(ReductionOpType.DISCONNECT, emitter=1, emitter_b=2, tag="stem"))
+            == "disconnect(e1,e2)"
+        )
+        assert repr(ReductionOp(ReductionOpType.FREE_EMITTER, emitter=5)) == "free_emitter(e5)"
+        op = ReductionOp(ReductionOpType.EMIT_ISOLATED)
+        assert (op.emitter, op.emitter_b, op.photon, op.tag) == (None, None, None, "")
+        assert ReductionOp(ReductionOpType.SWAP, 0, None, 3, "") == ReductionOp(
+            ReductionOpType.SWAP, emitter=0, photon=3
+        )
+
+    def test_properties(self):
+        emitting = {
+            ReductionOpType.SWAP,
+            ReductionOpType.ABSORB_LEAF,
+            ReductionOpType.ABSORB_DANGLING,
+            ReductionOpType.ABSORB_TWIN,
+            ReductionOpType.EMIT_ISOLATED,
+        }
+        for op_type in ReductionOpType:
+            op = ReductionOp(op_type)
+            assert op.is_emission == (op_type in emitting)
+            assert op.is_emitter_emitter_gate == (op_type is ReductionOpType.DISCONNECT)
+
+    def test_ops_survive_a_pickle_round_trip(self):
+        target = linear_cluster(4)
+        state = ReductionState(target)
+        state.apply_swap(3)
+        state.apply_swap(2)
+        state.apply_disconnect(0, 1, tag="cut")
+        state.apply_absorb_dangling(1, 1)
+        state.apply_absorb_leaf(1, 0)
+        operations = state.finish().operations
+        clone = pickle.loads(pickle.dumps(operations))
+        assert clone == operations
+        assert [type(op) for op in clone] == [ReductionOp] * len(operations)
+        assert [op.tag for op in clone] == [op.tag for op in operations]

@@ -153,6 +153,16 @@ class TestWindowStatistics:
         with pytest.raises(RuntimeError, match="photons remain"):
             state.finish()
 
+    def test_snapshot_and_restore_are_refused(self):
+        # The inherited pair would skip the window's slot maps and hand back
+        # a state whose slots disagree with its photons.
+        state = StreamingReductionState(window_capacity=4)
+        state.admit_photon(0)
+        with pytest.raises(NotImplementedError, match="slot|window"):
+            state.snapshot()
+        with pytest.raises(NotImplementedError, match="slot|window"):
+            state.restore(())
+
     def test_window_overflow_raises(self):
         state = StreamingReductionState(window_capacity=2)
         state.admit_photon(0)
