@@ -157,7 +157,11 @@ def main() -> None:
             print(f"  first request:  ok={first['ok']} cache_hit={first['cache_hit']}")
             print(f"  second request: ok={second['ok']} cache_hit={second['cache_hit']}")
             assert second["cache_hit"], "repeat request should be served from cache"
-            print(f"  health: {client.healthz()['microbatcher']}")
+            hits = next(
+                line for line in client.metrics().splitlines()  # GET /metrics
+                if line.startswith("repro_worker_result_cache_hits_total ")
+            )
+            print(f"  metrics: {hits}")
         finally:
             server.shutdown()
             server.server_close()

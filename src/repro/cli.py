@@ -292,9 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = subparsers.add_parser(
         "serve",
         help="run the compilation server (POST /compile and /batch, "
-        "GET /status/<job> and /healthz; JSON bodies); --workers N > 1 runs "
-        "the supervised multi-process fleet with GET /metrics and SIGTERM "
-        "graceful drain",
+        "GET /status/<job>, /healthz and /metrics); --workers N > 1 runs "
+        "the supervised multi-process fleet with SIGTERM graceful drain",
     )
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="address to bind (default: loopback)"
@@ -913,7 +912,9 @@ def _run_serve_single(args: argparse.Namespace) -> int:
     host, port = server.server_address[:2]
     cache_note = args.cache_dir if args.cache_dir else "disabled"
     print(f"repro serve: listening on http://{host}:{port} (cache: {cache_note})")
-    print("endpoints: POST /compile, POST /batch, GET /status/<job>, GET /healthz")
+    print(
+        "endpoints: POST /compile, POST /batch, GET /status/<job>, GET /healthz, GET /metrics"
+    )
 
     def _drain_handler(signum, frame):  # noqa: ARG001 - signal API
         # Drain on a helper thread: shutdown() would deadlock the serving
@@ -1106,25 +1107,14 @@ def _run_loadgen(args: argparse.Namespace) -> int:
             poison_payload=poison_payload,
         )
         if args.metrics_out:
-            # Scraped before the self-served instance shuts down; uses raw
-            # urllib because /metrics is a text exposition, not JSON.  With
-            # a multi-address --url the first live front end answers (after
-            # a failover drill that is the promoted standby).
-            from urllib.request import urlopen
-
-            exposition = None
-            scrape_error: Exception | None = None
-            for base in str(url).split(","):
-                try:
-                    with urlopen(
-                        f"{base.strip()}/metrics", timeout=args.timeout
-                    ) as response:
-                        exposition = response.read().decode("utf-8")
-                    break
-                except OSError as exc:
-                    scrape_error = exc
-            if exposition is None:
-                raise scrape_error or OSError("no front end answered /metrics")
+            # Scraped before the self-served instance shuts down.  With a
+            # multi-address --url the client rotates past dead addresses, so
+            # the first live front end answers (after a failover drill that
+            # is the promoted standby).
+            addresses = str(url).count(",") + 1
+            exposition = ServiceClient(
+                url, timeout=args.timeout, retries=addresses - 1, retry_backoff_seconds=0.0
+            ).metrics()
             with open(args.metrics_out, "w", encoding="utf-8") as handle:
                 handle.write(exposition)
     finally:

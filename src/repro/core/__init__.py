@@ -26,7 +26,6 @@ from repro.core.compile_cache import (
     reset_process_cache,
 )
 from repro.core.reduction import (
-    InsufficientEmittersError,
     ReductionOp,
     ReductionSequence,
     ReductionState,
@@ -56,7 +55,6 @@ __all__ = [
     "SubgraphCompileCache",
     "get_process_cache",
     "reset_process_cache",
-    "InsufficientEmittersError",
     "BitsetReductionState",
     "PackedReductionState",
     "ReductionOp",

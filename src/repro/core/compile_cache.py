@@ -91,7 +91,7 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
     def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for ``/healthz``, benches and result objects."""
+        """Plain-dict view for ``/metrics``, benches and result objects."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -289,7 +289,7 @@ class SubgraphCompileCache:
 
         Surfaces the corruption-quarantine and circuit-breaker counters of
         the underlying :class:`repro.pipeline.cache.ResultCache`, so
-        ``/healthz`` can report a degraded (memory-only) subgraph tier.
+        ``/metrics`` can report a degraded (memory-only) subgraph tier.
         """
         disk = self._disk
         return disk.stats() if disk is not None else None
@@ -392,7 +392,7 @@ def get_process_cache(disk_dir: str | None = None) -> SubgraphCompileCache:
 
 
 def peek_process_cache() -> SubgraphCompileCache | None:
-    """The shared cache if one exists, without creating it (``/healthz``)."""
+    """The shared cache if one exists, without creating it (``/metrics``)."""
     return _process_cache
 
 

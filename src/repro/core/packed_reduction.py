@@ -47,7 +47,6 @@ from __future__ import annotations
 from typing import Hashable, Sequence
 
 from repro.core.reduction import (
-    InsufficientEmittersError,
     ReductionOp,
     ReductionOpType,
     ReductionSequence,
@@ -104,7 +103,6 @@ class BitsetReductionState:
         photon_slots: int,
         names: Sequence[int],
         emitter_budget: int | None,
-        strict_budget: bool,
     ):
         self._eoff = photon_slots
         self._photon_mask = (1 << photon_slots) - 1
@@ -112,7 +110,6 @@ class BitsetReductionState:
         self._alive = 0
         self._name = names
         self.emitter_budget = emitter_budget
-        self.strict_budget = bool(strict_budget)
         self.emitters_over_budget = 0
         self.free_emitters: set[int] = set()
         self.active_emitters: set[int] = set()
@@ -340,10 +337,6 @@ class BitsetReductionState:
                 self.emitter_budget is not None
                 and self.num_emitters_allocated >= self.emitter_budget
             ):
-                if self.strict_budget:
-                    raise InsufficientEmittersError(
-                        f"emitter budget of {self.emitter_budget} exhausted"
-                    )
                 self.emitters_over_budget += 1
             chosen = self.num_emitters_allocated
             self.num_emitters_allocated += 1
@@ -530,7 +523,6 @@ class PackedReductionState(BitsetReductionState):
         self,
         target_graph: GraphState,
         emitter_budget: int | None = None,
-        strict_budget: bool = False,
         photon_order: Sequence[Vertex] | None = None,
     ):
         if target_graph.num_vertices == 0:
@@ -542,7 +534,7 @@ class PackedReductionState(BitsetReductionState):
         ):
             raise ValueError("photon_order must be a permutation of the target vertices")
         n = len(vertices)
-        super().__init__(n, range(n), emitter_budget, strict_budget)
+        super().__init__(n, range(n), emitter_budget)
         self.photon_of_vertex: dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
         self.num_photons = n
         self._alive = self._photon_mask
@@ -586,7 +578,6 @@ class PackedReductionState(BitsetReductionState):
 def make_reduction_state(
     target_graph: GraphState,
     emitter_budget: int | None = None,
-    strict_budget: bool = False,
     photon_order: Sequence[Vertex] | None = None,
     backend: str | None = None,
 ) -> "ReductionState | PackedReductionState":
@@ -602,6 +593,5 @@ def make_reduction_state(
     return cls(
         target_graph,
         emitter_budget=emitter_budget,
-        strict_budget=strict_budget,
         photon_order=photon_order,
     )

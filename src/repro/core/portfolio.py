@@ -54,8 +54,8 @@ to the process-wide :class:`BackgroundRefiner`, which compiles them off
 the request path.  Every rung compile runs with the subgraph compile cache
 enabled, so background refinement warms the cache for future requests —
 the fleet gets better under sustained load — and improvements found after
-the response are counted in :func:`refinement_stats` (surfaced through the
-service ``/healthz`` and the fleet ``/metrics``).
+the response are counted in :func:`refinement_stats` (surfaced on every
+compile service's ``/metrics``, and relayed by the fleet front end).
 """
 
 from __future__ import annotations
@@ -620,7 +620,7 @@ class RefinementStats:
                 self.dropped += 1
 
     def as_dict(self) -> dict[str, int]:
-        """Snapshot for ``/healthz`` and the fleet ``/metrics`` roll-up."""
+        """Plain-dict snapshot of the counters."""
         with self._lock:
             return {
                 "refinement_rungs": self.rungs,

@@ -50,15 +50,10 @@ __all__ = [
     "ReductionOp",
     "ReductionSequence",
     "ReductionState",
-    "InsufficientEmittersError",
     "forward_circuit_from_sequence",
 ]
 
 Vertex = Hashable
-
-
-class InsufficientEmittersError(RuntimeError):
-    """Raised when a strict emitter budget cannot accommodate the reduction."""
 
 
 class ReductionOpType(str, enum.Enum):
@@ -168,15 +163,13 @@ class ReductionState:
     ``("p", photon_index)`` and ``("e", emitter_id)``.  Photon indices are the
     positions of the target vertices in the order given at construction time;
     emitter ids are allocated on demand, bounded by a *soft* budget (the
-    reduction records by how much the budget was exceeded rather than failing,
-    unless ``strict_budget`` is set).
+    reduction records by how much the budget was exceeded rather than failing).
     """
 
     def __init__(
         self,
         target_graph: GraphState,
         emitter_budget: int | None = None,
-        strict_budget: bool = False,
         photon_order: Sequence[Vertex] | None = None,
     ):
         if target_graph.num_vertices == 0:
@@ -190,7 +183,6 @@ class ReductionState:
         self.photon_of_vertex: dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
         self.num_photons = len(vertices)
         self.emitter_budget = emitter_budget
-        self.strict_budget = bool(strict_budget)
         self.emitters_over_budget = 0
 
         self.graph = GraphState()
@@ -386,9 +378,7 @@ class ReductionState:
         """Return a free emitter id, allocating a new one if needed.
 
         ``preferred`` is honoured when that emitter is currently free.  When
-        the soft budget is exceeded the overflow is recorded; with
-        ``strict_budget`` an :class:`InsufficientEmittersError` is raised
-        instead.
+        the soft budget is exceeded the overflow is recorded.
         """
         if preferred is not None and preferred in self.free_emitters:
             self.free_emitters.discard(preferred)
@@ -403,10 +393,6 @@ class ReductionState:
             self.emitter_budget is not None
             and self.num_emitters_allocated >= self.emitter_budget
         ):
-            if self.strict_budget:
-                raise InsufficientEmittersError(
-                    f"emitter budget of {self.emitter_budget} exhausted"
-                )
             self.emitters_over_budget += 1
         new_id = self.num_emitters_allocated
         self.num_emitters_allocated += 1

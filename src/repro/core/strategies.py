@@ -38,11 +38,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence, Union
 
 from repro.core.packed_reduction import BitsetReductionState, make_reduction_state
-from repro.core.reduction import (
-    InsufficientEmittersError,
-    ReductionSequence,
-    ReductionState,
-)
+from repro.core.reduction import ReductionSequence, ReductionState
 from repro.graphs.graph_state import GraphState
 
 __all__ = ["GreedyReductionStrategy", "greedy_reduce", "reduce_and_free", "reduce_photon"]
@@ -62,11 +58,7 @@ class GreedyReductionStrategy:
 
     Attributes:
         emitter_budget: soft maximum number of emitters (``None`` = unbounded).
-        strict_budget: raise :class:`InsufficientEmittersError` instead of
-            exceeding the budget.
         enable_twin_rule: allow the ``ABSORB_TWIN`` rewrite.
-        free_isolated_eagerly: release isolated emitters as soon as they
-            appear (keeps the usable pool large at no gate cost).
         prefer_disconnect_over_allocate: when a swap needs an emitter and none
             is free, prefer liberating an existing emitter over allocating a
             new one even if the budget has headroom.  This reproduces the
@@ -83,9 +75,7 @@ class GreedyReductionStrategy:
     """
 
     emitter_budget: int | None = None
-    strict_budget: bool = False
     enable_twin_rule: bool = True
-    free_isolated_eagerly: bool = True
     prefer_disconnect_over_allocate: bool = False
     allow_disconnect_absorb: bool = True
     preferred_emitters: tuple[int, ...] = ()
@@ -161,23 +151,14 @@ def reduce_photon(
     can_allocate = budget is None or state.num_emitters_allocated < budget
     liberation: tuple[int, int] | None = None
     swap_setup_cost = 0.0
-    if not state.free_emitters:
-        if can_allocate and not strategy.prefer_disconnect_over_allocate:
-            swap_setup_cost = 0.0
-        else:
-            liberation = state.liberation_candidate()
-            if liberation is not None:
-                swap_setup_cost = liberation[0]
-            elif can_allocate:
-                # Nothing can be liberated; fall back to allocating.
-                swap_setup_cost = 0.0
-            elif strategy.strict_budget:
-                raise InsufficientEmittersError(
-                    "no free emitter, no emitter can be liberated and the budget "
-                    f"of {budget} is exhausted"
-                )
-            else:
-                swap_setup_cost = 0.0  # over-budget allocation, recorded by the state
+    if not state.free_emitters and (
+        strategy.prefer_disconnect_over_allocate or not can_allocate
+    ):
+        # With nothing to liberate the swap allocates, over the budget if need
+        # be (the state records the overflow).
+        liberation = state.liberation_candidate()
+        if liberation is not None:
+            swap_setup_cost = liberation[0]
     swap_cost = swap_setup_cost + deferred_edges
 
     if absorb_cost <= swap_cost and absorb_option is not None:
@@ -213,8 +194,7 @@ def reduce_and_free(
     compile) takes its steps through this helper, so they cannot drift apart.
     """
     reduce_photon(state, photon, strategy, tag)
-    if strategy.free_isolated_eagerly:
-        state.free_isolated_emitters(tag=tag)
+    state.free_isolated_emitters(tag=tag)
 
 
 # --------------------------------------------------------------------------- #
@@ -251,10 +231,7 @@ def greedy_reduce(
     if strategy is None:
         strategy = GreedyReductionStrategy()
     state = make_reduction_state(
-        target_graph,
-        emitter_budget=strategy.emitter_budget,
-        strict_budget=strategy.strict_budget,
-        backend=backend,
+        target_graph, emitter_budget=strategy.emitter_budget, backend=backend
     )
     if processing_order is None:
         processing_order = list(reversed(target_graph.vertices()))

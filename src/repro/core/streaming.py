@@ -68,13 +68,12 @@ class StreamingReductionState(BitsetReductionState):
         self,
         window_capacity: int,
         emitter_budget: int | None = None,
-        strict_budget: bool = False,
         op_sink: OpSink | None = None,
     ):
         if window_capacity < 1:
             raise ValueError(f"window_capacity must be >= 1, got {window_capacity}")
         cap = int(window_capacity)
-        super().__init__(cap, [-1] * cap, emitter_budget, strict_budget)
+        super().__init__(cap, [-1] * cap, emitter_budget)
         self._slot_of: dict[int, int] = {}
         self._free_slots = list(range(cap - 1, -1, -1))
         self.peak_window_photons = 0
@@ -233,7 +232,6 @@ def compile_stream(
     state = StreamingReductionState(
         _window_capacity(spec),
         emitter_budget=strategy.emitter_budget,
-        strict_budget=strategy.strict_budget,
         op_sink=sink,
     )
 

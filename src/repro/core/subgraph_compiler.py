@@ -250,11 +250,7 @@ class _OrderTrieWalk:
         durations: GateDurations,
         stats: LeafSearchStats,
     ):
-        self.state = make_reduction_state(
-            graph,
-            emitter_budget=strategy.emitter_budget,
-            strict_budget=strategy.strict_budget,
-        )
+        self.state = make_reduction_state(graph, emitter_budget=strategy.emitter_budget)
         self.strategy = strategy
         self.durations = durations
         self.stats = stats

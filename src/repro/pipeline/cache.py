@@ -129,7 +129,7 @@ class DiskCircuitBreaker:
                 self.opens += 1
 
     def snapshot(self) -> dict:
-        """Observability view for ``/healthz``."""
+        """Observability view for ``/metrics``."""
         with self._lock:
             return {
                 "state": self._state,
@@ -308,7 +308,7 @@ class ResultCache:
         )
 
     def stats(self) -> dict:
-        """Counters and breaker state for ``/healthz``."""
+        """Counters and breaker state for ``/metrics``."""
         return {
             "hits": self.hits,
             "misses": self.misses,

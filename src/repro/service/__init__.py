@@ -4,9 +4,10 @@ This subsystem turns the batch pipeline (:mod:`repro.pipeline`) into a
 long-running server for interactive and high-volume traffic:
 
 * :mod:`repro.service.server` — :class:`CompileService` (micro-batched
-  execution, async batches, counters) and :class:`CompileServer` (stdlib
-  ``ThreadingHTTPServer`` exposing ``/compile``, ``/batch``,
-  ``/status/<job>`` and ``/healthz`` with JSON bodies);
+  execution, async batches, its own metrics registry) and
+  :class:`CompileServer` (stdlib ``ThreadingHTTPServer`` exposing
+  ``/compile``, ``/batch``, ``/status/<job>`` and ``/healthz`` with JSON
+  bodies, and ``/metrics``);
 * :mod:`repro.service.batcher` — the :class:`MicroBatcher` that coalesces
   concurrent requests into single :class:`repro.pipeline.runner.BatchRunner`
   batches;
@@ -20,7 +21,9 @@ long-running server for interactive and high-volume traffic:
   heartbeat health checks with exponential-backoff restarts, a persistent
   pending-queue journal with crash replay, and SIGTERM graceful drain;
 * :mod:`repro.service.metrics` — the Prometheus ``/metrics`` instruments,
-  the exposition validator CI scrapes against, and structured JSON logs.
+  the worker and fleet family tables, the exposition parser behind the
+  validator CI scrapes against and the front end's per-worker relay, and
+  structured JSON logs.
 
 Everything is stdlib-only on top of the package's existing dependencies; the
 CLI entry points are ``repro serve`` and ``repro loadgen``.

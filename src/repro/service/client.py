@@ -107,8 +107,9 @@ class ServiceClient:
         path: str,
         payload: dict | None = None,
         headers: dict | None = None,
-    ) -> dict:
-        """Issue one JSON request (with retries) and return the parsed body.
+        text: bool = False,
+    ) -> dict | str:
+        """Issue one request (with retries) and return the parsed JSON body.
 
         Parameters
         ----------
@@ -120,11 +121,13 @@ class ServiceClient:
             JSON body for POST requests.
         headers : dict | None, optional
             Extra request headers (e.g. ``X-Request-Id``).
+        text : bool, optional
+            Return the body as text instead of parsing it (``/metrics``).
 
         Returns
         -------
-        dict
-            The parsed JSON response.
+        dict | str
+            The parsed JSON response (the text body with ``text=True``).
 
         Raises
         ------
@@ -134,15 +137,17 @@ class ServiceClient:
             multi-address front-end list, each retryable failure also
             rotates to the next address.
         """
+        # Optional arguments are passed only when set, so tests (and callers)
+        # that stub a 3-argument _request_once keep working unchanged.
+        options = {}
+        if headers:
+            options["extra_headers"] = headers
+        if text:
+            options["text"] = True
         attempts = self.retries + 1
         for attempt in range(attempts):
             try:
-                # Headers passed positionally only when present, so tests
-                # (and callers) that stub a 3-argument _request_once keep
-                # working unchanged.
-                if headers:
-                    return self._request_once(method, path, payload, headers)
-                return self._request_once(method, path, payload)
+                return self._request_once(method, path, payload, **options)
             except ServiceError as exc:
                 last_try = attempt == attempts - 1
                 if last_try or exc.status not in RETRYABLE_STATUSES:
@@ -158,7 +163,8 @@ class ServiceClient:
         path: str,
         payload: dict | None,
         extra_headers: dict | None = None,
-    ) -> dict:
+        text: bool = False,
+    ) -> dict | str:
         data = None
         headers = {"Accept": "application/json"}
         if payload is not None:
@@ -172,7 +178,8 @@ class ServiceClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
+                body = response.read()
+            return body.decode("utf-8") if text else json.loads(body)
         except urllib.error.HTTPError as exc:
             try:
                 body = json.loads(exc.read())
@@ -189,6 +196,10 @@ class ServiceClient:
     def healthz(self) -> dict:
         """``GET /healthz``."""
         return self.request("GET", "/healthz")
+
+    def metrics(self) -> str:
+        """``GET /metrics``: the Prometheus text exposition."""
+        return self.request("GET", "/metrics", text=True)
 
     def compile(self, **job) -> dict:
         """``POST /compile`` with a flat job payload.

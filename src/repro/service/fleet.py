@@ -11,8 +11,10 @@
   hash (rendezvous hashing, so identical jobs always land on the same
   worker's warm caches), re-dispatches to the next-ranked worker when one
   dies mid-request, and exposes the ops surface: ``GET /metrics``
-  (Prometheus text format), ``GET /healthz`` (fleet roll-up incl. worker
-  pids/states), structured JSON logs with request ids;
+  (Prometheus text format: the front end's own families plus every
+  worker's exposition relayed with a ``worker`` label), ``GET /healthz``
+  (fleet status incl. worker pids/states), structured JSON logs with
+  request ids;
 * every accepted ``/compile`` request is journaled to a persistent
   pending-queue (:class:`repro.pipeline.jobs.PendingJournal`) before
   dispatch and marked done after, so a crash mid-batch loses no accepted
@@ -46,7 +48,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Sequence
 
@@ -59,8 +61,14 @@ from repro.pipeline.jobs import (
     StaleEpochError,
 )
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.metrics import FLEET_METRICS, MetricsRegistry, log_event
+from repro.service.metrics import (
+    FLEET_METRICS,
+    MetricsRegistry,
+    log_event,
+    relabel_expositions,
+)
 from repro.service.replication import LeaseLostError, ReplicationFencedError
+from repro.service.server import JSONRequestHandler
 from repro.utils.faults import FaultPoint
 
 __all__ = [
@@ -227,7 +235,9 @@ class WorkerProcess:
         self.missed_heartbeats = 0
         self.next_restart_at = 0.0
         self.spawned_at = 0.0
-        self.last_healthz: dict = {}
+        # The last exposition the worker served, kept across its downtime so
+        # the front end's family set does not depend on who is up right now.
+        self.last_exposition = ""
         self.ever_healthy = False
         self.port_rebinds = 0
         self.request_timeout = float(request_timeout)
@@ -285,14 +295,13 @@ class WorkerProcess:
         self.state = STOPPED
 
     def snapshot(self) -> dict:
-        """JSON description for the fleet ``/healthz`` roll-up."""
+        """JSON description for the fleet ``/healthz`` body."""
         return {
             "index": self.index,
             "port": self.port,
             "pid": self.pid,
             "state": self.state,
             "restarts": self.restarts,
-            "requests_served": self.last_healthz.get("requests_served", 0),
             "dispatch_breaker": self.breaker.state,
         }
 
@@ -328,7 +337,7 @@ class FleetSupervisor:
     restart_backoff_cap_seconds : float, optional
         Upper bound on the restart delay.
     worker_start_timeout : float, optional
-        How long a spawned worker may take to answer ``/healthz`` before it
+        How long a spawned worker may take to answer ``/metrics`` before it
         is considered failed.
     request_timeout : float, optional
         Socket timeout for forwarded compile requests.
@@ -479,7 +488,7 @@ class FleetSupervisor:
         self._supervisor_thread: threading.Thread | None = None
         self._replay_thread: threading.Thread | None = None
         # Worker probes run concurrently (one hung worker must not delay
-        # the roll-up for the rest); the in-flight set prevents a slow
+        # the others' probes); the in-flight set prevents a slow
         # probe from stacking up duplicates for the same worker.
         self._probe_pool = ThreadPoolExecutor(
             max_workers=max(2, num_workers), thread_name_prefix="repro-fleet-probe"
@@ -488,16 +497,10 @@ class FleetSupervisor:
         self._probe_lock = threading.Lock()
 
         # Create every declared instrument up front so the exposition is
-        # complete from the first scrape (CI validates exactly this set).
+        # complete from the first scrape (CI validates this set plus the
+        # relayed worker families).
         self.registry = MetricsRegistry()
-        self._instruments = {}
-        for name, (kind, help_text) in FLEET_METRICS.items():
-            factory = {
-                "counter": self.registry.counter,
-                "gauge": self.registry.gauge,
-                "summary": self.registry.summary,
-            }[kind]
-            self._instruments[name] = factory(name, help_text)
+        self._instruments = self.registry.declare(FLEET_METRICS)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -534,7 +537,7 @@ class FleetSupervisor:
         Parameters
         ----------
         wait_ready : bool, optional
-            Block until every worker answers ``/healthz`` (or its start
+            Block until every worker answers ``/metrics`` (or its start
             timeout expires).
         replay : bool, optional
             Re-dispatch unfinished journal entries from a previous run (in
@@ -566,7 +569,7 @@ class FleetSupervisor:
             for worker in self.workers:
                 while worker.state == STARTING and time.monotonic() < deadline:
                     try:
-                        worker.last_healthz = worker.heartbeat_client.healthz()
+                        worker.last_exposition = worker.heartbeat_client.metrics()
                         worker.state = HEALTHY
                         worker.ever_healthy = True
                     except ServiceError:
@@ -824,7 +827,7 @@ class FleetSupervisor:
         # Process is alive: heartbeat it.
         try:
             _FAULT_HEARTBEAT.hit(context=str(worker.index))
-            worker.last_healthz = worker.heartbeat_client.healthz()
+            worker.last_exposition = worker.heartbeat_client.metrics()
         except (ServiceError, OSError) as exc:
             if worker.state == STARTING:
                 if now - worker.spawned_at > self.worker_start_timeout:
@@ -1073,7 +1076,6 @@ class FleetSupervisor:
                 )
             self._inflight += 1
         self._instruments["repro_fleet_requests_total"].inc()
-        self._instruments["repro_fleet_inflight_requests"].inc()
         started = time.perf_counter()
         try:
             # Inside the try so a journal append rejected by the fence
@@ -1093,7 +1095,6 @@ class FleetSupervisor:
             self._instruments["repro_fleet_request_latency_seconds"].observe(elapsed)
             with self._idle:
                 self._inflight -= 1
-                self._instruments["repro_fleet_inflight_requests"].set(self._inflight)
                 if self._inflight == 0:
                     self._idle.notify_all()
 
@@ -1256,7 +1257,7 @@ class FleetSupervisor:
     # ------------------------------------------------------------------ #
 
     def healthz(self) -> dict:
-        """The fleet roll-up body served on ``GET /healthz``."""
+        """The fleet status body served on ``GET /healthz``."""
         import repro
 
         with self._lock:
@@ -1306,7 +1307,13 @@ class FleetSupervisor:
         }
 
     def render_metrics(self) -> str:
-        """Refresh gauges/roll-ups and render the Prometheus exposition."""
+        """Refresh the front end's gauges and render the full exposition.
+
+        The front end's own families come first; then every worker's last
+        exposition, each sample relabelled with ``worker="<index>"``.
+        Nothing is summed across workers, so a restarted worker restarts
+        only its own series.
+        """
         ins = self._instruments
         ins["repro_fleet_uptime_seconds"].set(time.time() - self.started_at)
         ins["repro_fleet_workers_total"].set(len(self.workers))
@@ -1315,70 +1322,6 @@ class FleetSupervisor:
         with self._lock:
             ins["repro_fleet_inflight_requests"].set(self._inflight)
             ins["repro_fleet_journal_pending"].set(self._inflight + self._replay_backlog)
-        served = cache_hits = cache_misses = 0
-        sub_hits = sub_misses = 0
-        deadline_requests = deadline_misses = admission_rejections = 0
-        refinement_improvements = 0
-        corrupt_entries = disk_errors = breaker_opens = 0
-        breakers_open = compile_timeouts = 0
-        for worker in self.workers:
-            ins["repro_fleet_worker_up"].set(
-                1.0 if worker.state == HEALTHY else 0.0, worker=str(worker.index)
-            )
-            body = worker.last_healthz or {}
-            served += int(body.get("requests_served", 0))
-            cache = body.get("cache") or {}
-            cache_hits += int(cache.get("hits", 0))
-            cache_misses += int(cache.get("misses", 0))
-            subgraph = body.get("subgraph_cache") or {}
-            sub_hits += int(subgraph.get("hits", 0))
-            sub_misses += int(subgraph.get("misses", 0))
-            portfolio = body.get("portfolio") or {}
-            deadline_requests += int(portfolio.get("deadline_requests", 0))
-            deadline_misses += int(portfolio.get("deadline_misses", 0))
-            admission_rejections += int(portfolio.get("admission_rejections", 0))
-            refinement_improvements += int(
-                portfolio.get("refinement_improvements", 0)
-            )
-            disk_tiers = [cache, (subgraph.get("disk_tier") or {})]
-            worker_breaker_open = False
-            for tier in disk_tiers:
-                corrupt_entries += int(tier.get("corrupt_entries", 0))
-                disk_errors += int(tier.get("disk_errors", 0))
-                breaker = tier.get("breaker") or {}
-                breaker_opens += int(breaker.get("opens", 0))
-                if breaker.get("state") == "open":
-                    worker_breaker_open = True
-            if worker_breaker_open:
-                breakers_open += 1
-            watchdog = body.get("watchdog") or {}
-            compile_timeouts += int(watchdog.get("compile_timeouts", 0))
-        ins["repro_fleet_worker_requests_served_total"].set_total(served)
-        ins["repro_fleet_result_cache_hits_total"].set_total(cache_hits)
-        ins["repro_fleet_result_cache_misses_total"].set_total(cache_misses)
-        ins["repro_fleet_subgraph_cache_hits_total"].set_total(sub_hits)
-        ins["repro_fleet_subgraph_cache_misses_total"].set_total(sub_misses)
-        total = sub_hits + sub_misses
-        ins["repro_fleet_subgraph_cache_hit_rate"].set(
-            sub_hits / total if total else 0.0
-        )
-        ins["repro_fleet_deadline_requests_total"].set_total(deadline_requests)
-        ins["repro_fleet_deadline_misses_total"].set_total(deadline_misses)
-        ins["repro_fleet_admission_rejections_total"].set_total(
-            admission_rejections
-        )
-        ins["repro_fleet_deadline_miss_rate"].set(
-            deadline_misses / deadline_requests if deadline_requests else 0.0
-        )
-        ins["repro_fleet_refinement_improvements_total"].set_total(
-            refinement_improvements
-        )
-        ins["repro_fleet_cache_corrupt_entries_total"].set_total(corrupt_entries)
-        ins["repro_fleet_cache_disk_errors_total"].set_total(disk_errors)
-        ins["repro_fleet_disk_breaker_opens_total"].set_total(breaker_opens)
-        ins["repro_fleet_disk_breaker_open"].set(breakers_open)
-        ins["repro_fleet_compile_timeouts_total"].set_total(compile_timeouts)
-        with self._lock:
             deposed = self._deposed
         ins["repro_fleet_role"].set(0.0 if deposed else 1.0)
         ins["repro_fleet_epoch"].set(float(self.epoch))
@@ -1397,22 +1340,25 @@ class FleetSupervisor:
         ins["repro_fleet_fenced_writes_total"].set_total(
             acceptor.fenced_total if acceptor is not None else 0
         )
-        dispatch_open = 0
-        dispatch_opens = 0
+        dispatch_open = dispatch_opens = 0
         for worker in self.workers:
+            ins["repro_fleet_worker_up"].set(
+                1.0 if worker.state == HEALTHY else 0.0, worker=str(worker.index)
+            )
             breaker = worker.breaker.snapshot()
-            if breaker["open"]:
-                dispatch_open += 1
+            dispatch_open += int(breaker["open"])
             dispatch_opens += int(breaker["opens"])
         ins["repro_fleet_dispatch_breaker_open"].set(dispatch_open)
         ins["repro_fleet_dispatch_breaker_opens_total"].set_total(dispatch_opens)
-        return self.registry.render()
+        relayed = relabel_expositions(
+            {str(worker.index): worker.last_exposition for worker in self.workers}
+        )
+        return self.registry.render() + relayed
 
 
-class _FleetHandler(BaseHTTPRequestHandler):
+class _FleetHandler(JSONRequestHandler):
     """Route front-end HTTP requests to the :class:`FleetSupervisor`."""
 
-    protocol_version = "HTTP/1.1"
     server: "FleetServer"
 
     # ------------------------------------------------------------------ #
@@ -1421,29 +1367,29 @@ class _FleetHandler(BaseHTTPRequestHandler):
         """Serve ``/healthz``, ``/metrics`` and ``/status/<worker>-<id>``."""
         supervisor = self.server.supervisor
         if self.path == "/healthz":
-            self._send_json(200, supervisor.healthz())
+            self._send(200, supervisor.healthz())
             return
         if self.path == "/metrics":
-            self._send_text(200, supervisor.render_metrics())
+            self._send(200, supervisor.render_metrics())
             return
         if self.path.startswith("/status/"):
             self._forward_status(self.path[len("/status/"):])
             return
-        self._send_json(404, {"error": f"unknown path {self.path!r}"})
+        self._send(404, {"error": f"unknown path {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """Serve ``/compile`` (hash-routed) and ``/batch`` (forwarded)."""
         try:
             payload = self._read_json()
         except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
+            self._send(400, {"error": str(exc)})
             return
         if self.path == "/compile":
             self._handle_compile(payload)
         elif self.path == "/batch":
             self._handle_batch(payload)
         else:
-            self._send_json(404, {"error": f"unknown path {self.path!r}"})
+            self._send(404, {"error": f"unknown path {self.path!r}"})
 
     # ------------------------------------------------------------------ #
 
@@ -1492,7 +1438,7 @@ class _FleetHandler(BaseHTTPRequestHandler):
                 "error": f"{type(exc).__name__}: {exc}",
                 "request_id": request_id,
             }
-        self._send_json(status, body, request_id=request_id)
+        self._send(status, body, request_id=request_id)
         log_event(
             "request",
             request_id=request_id,
@@ -1506,7 +1452,7 @@ class _FleetHandler(BaseHTTPRequestHandler):
         supervisor = self.server.supervisor
         request_id = self.headers.get("X-Request-Id") or uuid.uuid4().hex[:16]
         if supervisor.draining:
-            self._send_json(
+            self._send(
                 503,
                 {"error": "fleet is draining; not accepting work",
                  "request_id": request_id},
@@ -1526,16 +1472,16 @@ class _FleetHandler(BaseHTTPRequestHandler):
                     continue
                 relay = dict(exc.body) or {"error": str(exc)}
                 relay["request_id"] = request_id
-                self._send_json(exc.status or 502, relay, request_id=request_id)
+                self._send(exc.status or 502, relay, request_id=request_id)
                 return
             # Prefix the job id with the worker index so /status can route
             # the poll back to the same worker.
             body["job_id"] = f"{worker.index}-{body['job_id']}"
             body["worker"] = worker.index
             body["request_id"] = request_id
-            self._send_json(202, body, request_id=request_id)
+            self._send(202, body, request_id=request_id)
             return
-        self._send_json(
+        self._send(
             503,
             {"error": "no healthy worker for batch", "request_id": request_id},
             request_id=request_id,
@@ -1547,60 +1493,17 @@ class _FleetHandler(BaseHTTPRequestHandler):
         workers = {str(w.index): w for w in supervisor.workers}
         worker = workers.get(index_text)
         if worker is None or not remote_id:
-            self._send_json(404, {"error": f"unknown job id {job_id!r}"})
+            self._send(404, {"error": f"unknown job id {job_id!r}"})
             return
         try:
             body = worker.client.request("GET", f"/status/{remote_id}")
         except ServiceError as exc:
             body = dict(exc.body) or {"error": str(exc)}
-            self._send_json(exc.status or 502, body)
+            self._send(exc.status or 502, body)
             return
         body["job_id"] = job_id
         body["worker"] = worker.index
-        self._send_json(200, body)
-
-    # ------------------------------------------------------------------ #
-
-    def _read_json(self) -> dict:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError as exc:
-            self.close_connection = True
-            raise ValueError("bad Content-Length header") from exc
-        if length <= 0:
-            raise ValueError("request body must be a JSON object")
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON body: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    def _send_json(self, status: int, body: dict, request_id: str | None = None) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        if request_id is not None:
-            self.send_header("X-Request-Id", request_id)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_text(self, status: int, text: str) -> None:
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Default request logging is replaced by structured JSON logs."""
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
+        self._send(200, body)
 
 class FleetServer(ThreadingHTTPServer):
     """The thin HTTP front end bound to one :class:`FleetSupervisor`.
@@ -1670,7 +1573,7 @@ def start_fleet(
     host, port : str, int
         Front-end bind address; port ``0`` picks a free port.
     wait_ready : bool, optional
-        Block until every worker answers ``/healthz``.
+        Block until every worker answers ``/metrics``.
     **supervisor_kwargs
         Forwarded to :class:`FleetSupervisor`.
 

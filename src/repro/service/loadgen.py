@@ -22,7 +22,7 @@ way ``--min-cache-hit-rate`` gates on caching.
 
 As a fault-injection harness, ``run_loadgen(kill_worker_after=K)`` SIGKILLs
 one healthy compile worker of a *fleet* front end (pids come from the
-fleet's ``/healthz`` roll-up) after K requests have completed — the CI
+fleet's ``/healthz`` worker list) after K requests have completed — the CI
 ``fleet-smoke`` job uses it to assert that a worker crash mid-load completes
 the run with zero failed requests.  ``kill_front_end_after=K`` escalates
 the drill to the front end itself: the primary is SIGKILLed mid-load and
@@ -282,7 +282,7 @@ def _kill_one_worker(url: str, timeout: float, report: LoadReport, lock) -> None
     """SIGKILL one healthy compile worker of the fleet serving ``url``.
 
     The victim is the first worker with a pid in the fleet's ``/healthz``
-    roll-up.  Raises :class:`ValueError` when the target is not a fleet
+    worker list.  Raises :class:`ValueError` when the target is not a fleet
     front end (single ``repro serve`` instances expose no worker pids).
     """
     body = ServiceClient(url, timeout=timeout).healthz()
@@ -309,7 +309,7 @@ def _kill_front_end(url: str, timeout: float, report: LoadReport, lock) -> None:
     ``url`` may be a comma-separated address list; the kill always targets
     the *first* address — the primary — so a standby listed second can take
     over.  The primary's own pid comes from its ``/healthz`` body; worker
-    pids from the roll-up are recorded as orphans (SIGKILL gives the
+    pids from its worker list are recorded as orphans (SIGKILL gives the
     supervisor no chance to reap them, so the harness caller cleans up).
     """
     primary_url = str(url).split(",")[0].strip()

@@ -1,10 +1,14 @@
 """Prometheus-style metrics and structured JSON logs for the ops surface.
 
-The fleet front end (:mod:`repro.service.fleet`) exposes a ``GET /metrics``
-endpoint in the Prometheus text exposition format.  This module provides the
-three instrument kinds it needs, a tiny thread-safe registry, and — because a
-metrics endpoint nobody validates rots silently — an exposition *validator*
-that CI runs against a live scrape:
+Every compile service (:mod:`repro.service.server`) and the fleet front end
+(:mod:`repro.service.fleet`) expose ``GET /metrics`` in the Prometheus text
+exposition format.  A worker's families are declared once in
+:data:`WORKER_METRICS`; the front end declares its own in
+:data:`FLEET_METRICS` and relays every worker sample with a ``worker`` label
+added (:func:`relabel_expositions`), so it names no worker family itself.
+This module provides the three instrument kinds, a tiny thread-safe
+registry, and — because a metrics endpoint nobody validates rots silently —
+an exposition *validator* that CI runs against a live scrape:
 
 * :class:`Counter` — monotonically increasing totals (requests, retries,
   restarts), optionally split by labels (``counter.labels(worker="0")``);
@@ -12,9 +16,10 @@ that CI runs against a live scrape:
 * :class:`Summary` — a sliding-window latency reservoir that renders
   ``{quantile="0.5|0.95|0.99"}`` samples plus ``_count``/``_sum``;
 * :class:`MetricsRegistry` — owns the instruments and renders the exposition;
-* :func:`validate_exposition` — checks that every declared metric family is
-  present with numeric samples (``python -m repro.service.metrics scrape.txt``
-  is the CI entry point);
+* :func:`parse_exposition` — the one sample parser, behind both
+  :func:`validate_exposition` (every declared family present with numeric
+  samples; ``python -m repro.service.metrics scrape.txt`` is the CI entry
+  point) and :func:`relabel_expositions`;
 * :func:`log_event` — one structured JSON log line (request ids, worker
   lifecycle events) on stderr.
 
@@ -37,13 +42,15 @@ __all__ = [
     "Summary",
     "MetricsRegistry",
     "FLEET_METRICS",
-    "render_fleet_help",
+    "WORKER_METRICS",
+    "ExpositionFamily",
+    "parse_exposition",
+    "relabel_expositions",
     "validate_exposition",
     "log_event",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 #: One exposition sample line: ``name{labels} value`` (labels optional).
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
@@ -51,9 +58,10 @@ _SAMPLE_RE = re.compile(
     r"\s+(?P<value>\S+)\s*$"
 )
 
-#: Metric families the fleet front end always exports, with their types.
-#: CI scrapes ``/metrics`` and fails if any of these is missing or
-#: non-numeric (:func:`validate_exposition`), locking the exposition format.
+#: Metric families the fleet front end owns, with their types.  CI scrapes
+#: ``/metrics`` and fails if any of these (or of :data:`WORKER_METRICS`,
+#: relayed from the workers) is missing or non-numeric
+#: (:func:`validate_exposition`), locking the exposition format.
 FLEET_METRICS: dict[str, tuple[str, str]] = {
     "repro_fleet_uptime_seconds": (
         "gauge", "Seconds since the fleet front end started."
@@ -80,54 +88,8 @@ FLEET_METRICS: dict[str, tuple[str, str]] = {
     ),
     "repro_fleet_journal_pending": ("gauge", "Unfinished entries in the pending-queue journal."),
     "repro_fleet_journal_replayed_total": ("counter", "Journal entries replayed after a restart."),
-    "repro_fleet_worker_requests_served_total": (
-        "counter", "Requests served, rolled up from worker /healthz."
-    ),
-    "repro_fleet_result_cache_hits_total": (
-        "counter", "Result-cache hits rolled up from worker /healthz."
-    ),
-    "repro_fleet_result_cache_misses_total": (
-        "counter", "Result-cache misses rolled up from worker /healthz."
-    ),
-    "repro_fleet_subgraph_cache_hits_total": (
-        "counter", "Subgraph compile-cache hits rolled up from workers."
-    ),
-    "repro_fleet_subgraph_cache_misses_total": (
-        "counter", "Subgraph compile-cache misses rolled up from workers."
-    ),
-    "repro_fleet_subgraph_cache_hit_rate": ("gauge", "Fleet-wide subgraph compile-cache hit rate."),
-    "repro_fleet_deadline_requests_total": (
-        "counter", "Deadline-bounded compile requests rolled up from workers."
-    ),
-    "repro_fleet_deadline_misses_total": (
-        "counter", "Deadline-bounded requests that returned past their deadline."
-    ),
-    "repro_fleet_admission_rejections_total": (
-        "counter", "Requests rejected by deadline admission control."
-    ),
-    "repro_fleet_deadline_miss_rate": (
-        "gauge", "Fleet-wide deadline-miss rate over deadline-bounded requests."
-    ),
-    "repro_fleet_refinement_improvements_total": (
-        "counter", "Background portfolio refinements that beat the served result."
-    ),
     "repro_fleet_poisoned_total": (
         "counter", "Requests quarantined as poisoned after crashing max_job_attempts workers."
-    ),
-    "repro_fleet_cache_corrupt_entries_total": (
-        "counter", "Corrupt disk-cache entries quarantined, rolled up from workers."
-    ),
-    "repro_fleet_cache_disk_errors_total": (
-        "counter", "Disk-cache I/O errors, rolled up from workers."
-    ),
-    "repro_fleet_disk_breaker_opens_total": (
-        "counter", "Disk-tier circuit-breaker open transitions, rolled up from workers."
-    ),
-    "repro_fleet_disk_breaker_open": (
-        "gauge", "Workers currently running with an open disk-tier circuit breaker."
-    ),
-    "repro_fleet_compile_timeouts_total": (
-        "counter", "Compiles cut off by the per-request watchdog, rolled up from workers."
     ),
     "repro_fleet_role": (
         "gauge", "1 while this front end is the serving primary, 0 otherwise."
@@ -164,6 +126,52 @@ FLEET_METRICS: dict[str, tuple[str, str]] = {
     ),
     "repro_fleet_dispatch_breaker_opens_total": (
         "counter", "Per-worker dispatch circuit-breaker open transitions."
+    ),
+}
+
+#: Metric families every compile service exports on its own ``/metrics``.
+#: The fleet front end relays them with a ``worker="<index>"`` label, so a
+#: worker restart restarts that worker's series only.
+WORKER_METRICS: dict[str, tuple[str, str]] = {
+    "repro_worker_requests_served_total": (
+        "counter", "Requests answered (compiles, timeouts and batch jobs)."
+    ),
+    "repro_worker_microbatches_total": ("counter", "Micro-batches the request batcher ran."),
+    "repro_worker_microbatched_requests_total": (
+        "counter", "Compile requests that went through the micro-batcher."
+    ),
+    "repro_worker_result_cache_hits_total": ("counter", "Result-cache hits."),
+    "repro_worker_result_cache_misses_total": ("counter", "Result-cache misses."),
+    "repro_worker_subgraph_cache_hits_total": ("counter", "Subgraph compile-cache hits."),
+    "repro_worker_subgraph_cache_misses_total": ("counter", "Subgraph compile-cache misses."),
+    "repro_worker_subgraph_cache_stores_total": (
+        "counter", "Subgraph compilations stored in the compile cache."
+    ),
+    "repro_worker_deadline_requests_total": ("counter", "Deadline-bounded compile requests."),
+    "repro_worker_deadline_misses_total": (
+        "counter", "Deadline-bounded requests that returned past their deadline."
+    ),
+    "repro_worker_admission_rejections_total": (
+        "counter", "Requests rejected by deadline admission control."
+    ),
+    "repro_worker_refinement_improvements_total": (
+        "counter", "Background portfolio refinements that beat the served result."
+    ),
+    "repro_worker_cache_corrupt_entries_total": (
+        "counter", "Corrupt disk-cache entries quarantined, both cache tiers."
+    ),
+    "repro_worker_cache_disk_errors_total": ("counter", "Disk-cache I/O errors, both cache tiers."),
+    "repro_worker_disk_breaker_opens_total": (
+        "counter", "Disk-tier circuit-breaker open transitions, both cache tiers."
+    ),
+    "repro_worker_disk_breaker_open": (
+        "gauge", "1 while a disk-tier circuit breaker is open (memory-only serving)."
+    ),
+    "repro_worker_compile_timeouts_total": (
+        "counter", "Compiles cut off by the per-request watchdog."
+    ),
+    "repro_worker_fenced_requests_total": (
+        "counter", "Dispatches rejected because their leadership epoch was stale."
     ),
 }
 
@@ -208,7 +216,41 @@ class _Instrument:
         raise NotImplementedError
 
 
-class Counter(_Instrument):
+class _LabelledInstrument(_Instrument):
+    """A value per label set, for :class:`Counter` and :class:`Gauge`.
+
+    A family with no child yet renders one unlabelled ``0`` sample, so it is
+    present from the first scrape; once any child exists only the children
+    render (a labelled family gets no stray unlabelled sample).
+    """
+
+    def __init__(self, name: str, help_text: str):
+        super().__init__(name, help_text)
+        self._values: dict[tuple[tuple[str, str], ...], float] = {}
+
+    @staticmethod
+    def _key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+    def _set(self, value: float, labels: dict[str, str]) -> None:
+        key = self._key(labels)
+        with self._lock:
+            self._values[key] = float(value)
+
+    def value(self, **labels: str) -> float:
+        """Current value of the child identified by ``labels``."""
+        key = self._key(labels)
+        with self._lock:
+            return self._values.get(key, 0.0)
+
+    def samples(self) -> list[tuple[str, dict[str, str], float]]:
+        """One sample per label child (one unlabelled zero before any)."""
+        with self._lock:
+            children = sorted(self._values.items()) or [((), 0.0)]
+        return [("", dict(key), value) for key, value in children]
+
+
+class Counter(_LabelledInstrument):
     """A monotonically increasing total, optionally split by labels.
 
     Parameters
@@ -221,72 +263,32 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, name: str, help_text: str):
-        super().__init__(name, help_text)
-        self._values: dict[tuple[tuple[str, str], ...], float] = {(): 0.0}
-
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         """Add ``amount`` (default 1) to the child identified by ``labels``."""
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: str) -> float:
-        """Current value of the child identified by ``labels``."""
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            return self._values.get(key, 0.0)
-
     def set_total(self, value: float, **labels: str) -> None:
-        """Overwrite a child total (for totals *rolled up* from workers).
+        """Overwrite a child total with a monotone total owned elsewhere.
 
-        Roll-up counters mirror monotone totals owned elsewhere (worker
-        ``/healthz`` bodies), so the front end sets them rather than
-        incrementing.
+        For totals another object keeps (a cache's hit count, a replication
+        link's record count), read at render time instead of mirrored by
+        every increment.
         """
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            self._values[key] = float(value)
-
-    def samples(self) -> list[tuple[str, dict[str, str], float]]:
-        """One sample per label child."""
-        with self._lock:
-            return [("", dict(key), value) for key, value in sorted(self._values.items())]
+        self._set(value, labels)
 
 
-class Gauge(_Instrument):
+class Gauge(_LabelledInstrument):
     """A point-in-time value, optionally split by labels."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help_text: str):
-        super().__init__(name, help_text)
-        self._values: dict[tuple[tuple[str, str], ...], float] = {(): 0.0}
-
     def set(self, value: float, **labels: str) -> None:
         """Set the child identified by ``labels`` to ``value``."""
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            self._values[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        """Add ``amount`` to the child identified by ``labels``."""
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        """Current value of the child identified by ``labels``."""
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def samples(self) -> list[tuple[str, dict[str, str], float]]:
-        """One sample per label child."""
-        with self._lock:
-            return [("", dict(key), value) for key, value in sorted(self._values.items())]
+        self._set(value, labels)
 
 
 class Summary(_Instrument):
@@ -392,6 +394,18 @@ class MetricsRegistry:
         """Get or create the summary ``name``."""
         return self._get_or_create(Summary, name, help_text, **kwargs)
 
+    def declare(self, families: dict[str, tuple[str, str]]) -> dict[str, _Instrument]:
+        """Create every family of a ``{name: (kind, help)}`` table up front.
+
+        The exposition is then complete from the first scrape.  Returns the
+        instruments by name.
+        """
+        factories = {"counter": self.counter, "gauge": self.gauge, "summary": self.summary}
+        return {
+            name: factories[kind](name, help_text)
+            for name, (kind, help_text) in families.items()
+        }
+
     def render(self) -> str:
         """The full Prometheus text exposition (``text/plain; version=0.0.4``)."""
         lines: list[str] = []
@@ -409,16 +423,80 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-def render_fleet_help() -> str:
-    """A human-readable table of every declared fleet metric (for docs)."""
-    rows = [f"{name} ({kind}): {help_text}" for name, (kind, help_text) in FLEET_METRICS.items()]
-    return "\n".join(rows)
+class ExpositionFamily:
+    """One metric family of a parsed exposition.
+
+    ``samples`` holds ``(sample name, label body, value text)`` triples: the
+    label body is the text between the braces (empty when unlabelled) and
+    the value is kept as written, so a relay re-emits it unchanged.
+    """
+
+    def __init__(self, kind: str | None = None, help_text: str = ""):
+        self.kind = kind
+        self.help_text = help_text
+        self.samples: list[tuple[str, str, str]] = []
+
+
+def parse_exposition(text: str) -> tuple[dict[str, ExpositionFamily], list[str]]:
+    """Parse a text exposition into its families.
+
+    A sample belongs to the family of the ``# HELP``/``# TYPE`` block it
+    follows when its name is that family's name or a summary/histogram
+    child of it (``_count``, ``_sum``, ``_bucket``); any other sample forms
+    an untyped family of its own name.
+
+    Returns
+    -------
+    tuple[dict[str, ExpositionFamily], list[str]]
+        The families in order of appearance, and human-readable problems
+        (unparseable lines, non-numeric or NaN values — such samples are
+        left out of their family).
+    """
+    families: dict[str, ExpositionFamily] = {}
+    problems: list[str] = []
+    current: str | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line.split(None, 3)
+            if len(parts) >= 3 and parts[1] in ("HELP", "TYPE"):
+                current = parts[2]
+                family = families.setdefault(current, ExpositionFamily())
+                rest = parts[3] if len(parts) > 3 else ""
+                if parts[1] == "TYPE":
+                    family.kind = rest
+                else:
+                    family.help_text = rest
+            continue
+        match = _SAMPLE_RE.match(line)
+        if match is None:
+            problems.append(f"line {lineno}: unparseable sample {line!r}")
+            continue
+        name, value = match.group("name"), match.group("value")
+        try:
+            number = float(value.replace("+Inf", "inf").replace("-Inf", "-inf"))
+        except ValueError:
+            problems.append(f"line {lineno}: non-numeric value {value!r} for {name}")
+            continue
+        if math.isnan(number):
+            problems.append(f"line {lineno}: NaN value for {name}")
+            continue
+        owner = name
+        if current is not None and name in (
+            current, f"{current}_count", f"{current}_sum", f"{current}_bucket"
+        ):
+            owner = current
+        labels = (match.group("labels") or "{}")[1:-1]
+        families.setdefault(owner, ExpositionFamily()).samples.append((name, labels, value))
+    return families, problems
 
 
 def validate_exposition(
     text: str, required: dict[str, tuple[str, str]] | None = None
 ) -> list[str]:
-    """Check a scraped exposition against the declared fleet metrics.
+    """Check a scraped exposition against declared metric families.
 
     Parameters
     ----------
@@ -426,7 +504,9 @@ def validate_exposition(
         The body of a ``GET /metrics`` response.
     required : dict | None, optional
         Mapping of required family names to ``(type, help)`` pairs
-        (default: :data:`FLEET_METRICS`).
+        (default: :data:`FLEET_METRICS` plus :data:`WORKER_METRICS`, the
+        fleet front end's full set; validate a single ``repro serve``
+        scrape with ``required=WORKER_METRICS``).
 
     Returns
     -------
@@ -437,50 +517,44 @@ def validate_exposition(
         number.
     """
     if required is None:
-        required = FLEET_METRICS
-    problems: list[str] = []
-    seen: dict[str, int] = {}
-    declared_types: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split()
-            if len(parts) >= 4:
-                declared_types[parts[2]] = parts[3]
-            continue
-        if line.startswith("#"):
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            problems.append(f"line {lineno}: unparseable sample {line!r}")
-            continue
-        try:
-            value = float(match.group("value").replace("+Inf", "inf").replace("-Inf", "-inf"))
-        except ValueError:
-            problems.append(
-                f"line {lineno}: non-numeric value {match.group('value')!r} "
-                f"for {match.group('name')}"
-            )
-            continue
-        if math.isnan(value):
-            problems.append(f"line {lineno}: NaN value for {match.group('name')}")
-            continue
-        seen[match.group("name")] = seen.get(match.group("name"), 0) + 1
+        required = {**FLEET_METRICS, **WORKER_METRICS}
+    families, problems = parse_exposition(text)
     for name, (kind, _help) in required.items():
-        sample_names = [name]
-        if kind == "summary":
-            sample_names = [name, f"{name}_count", f"{name}_sum"]
-        if not any(sample in seen for sample in sample_names):
+        names = [name, f"{name}_count", f"{name}_sum"] if kind == "summary" else [name]
+        if not any(families.get(sample) and families[sample].samples for sample in names):
             problems.append(f"missing required {kind} metric {name!r}")
             continue
-        if declared_types.get(name) not in (None, kind):
-            problems.append(
-                f"metric {name!r} declared as {declared_types[name]!r}, "
-                f"expected {kind!r}"
-            )
+        declared = families[name].kind if name in families else None
+        if declared not in (None, kind):
+            problems.append(f"metric {name!r} declared as {declared!r}, expected {kind!r}")
     return problems
+
+
+def relabel_expositions(expositions: dict[str, str]) -> str:
+    """Merge per-worker expositions into one, adding ``worker="<key>"`` to every sample.
+
+    Each family's ``# HELP``/``# TYPE`` lines are emitted once, followed by
+    the samples of every worker in the order given, so per-worker series stay
+    separate: nothing is summed across workers, and a restarted worker
+    restarts only its own series.
+    """
+    merged: dict[str, ExpositionFamily] = {}
+    for key, text in expositions.items():
+        prefix = f"worker={json.dumps(str(key))}"
+        for name, family in parse_exposition(text)[0].items():
+            target = merged.setdefault(name, ExpositionFamily(family.kind, family.help_text))
+            target.samples.extend(
+                (sample, f"{prefix},{labels}" if labels else prefix, value)
+                for sample, labels, value in family.samples
+            )
+    lines: list[str] = []
+    for name, family in merged.items():
+        if family.help_text:
+            lines.append(f"# HELP {name} {family.help_text}")
+        if family.kind:
+            lines.append(f"# TYPE {name} {family.kind}")
+        lines.extend(f"{sample}{{{labels}}} {value}" for sample, labels, value in family.samples)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 _LOG_LOCK = threading.Lock()
@@ -512,8 +586,8 @@ def _main(argv: list[str]) -> int:
     """CI entry point: validate a scraped exposition file.
 
     ``python -m repro.service.metrics scrape.txt`` exits 0 when every
-    declared fleet metric is present and numeric, 1 otherwise (printing one
-    problem per line).
+    declared fleet and worker metric is present and numeric, 1 otherwise
+    (printing one problem per line).
     """
     if len(argv) != 1:
         print("usage: python -m repro.service.metrics <scrape-file>", file=sys.stderr)
@@ -529,7 +603,7 @@ def _main(argv: list[str]) -> int:
         for problem in problems:
             print(f"metrics: {problem}", file=sys.stderr)
         return 1
-    print(f"metrics: ok ({len(FLEET_METRICS)} declared families present)")
+    print(f"metrics: ok ({len(FLEET_METRICS) + len(WORKER_METRICS)} declared families present)")
     return 0
 
 

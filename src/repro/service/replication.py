@@ -323,7 +323,7 @@ class ReplicationAcceptor:
         return time.monotonic() - self.last_contact
 
     def snapshot(self) -> dict:
-        """Counters for ``/healthz`` and metrics roll-ups."""
+        """Counters for the fleet ``/healthz`` and ``/metrics``."""
         return {
             "epoch": self.epoch,
             "frames_total": self.frames_total,

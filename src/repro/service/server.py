@@ -18,7 +18,8 @@ method  path                behaviour
 POST    ``/compile``        run one job, respond with its result record
 POST    ``/batch``          submit a list of jobs, respond with a job id
 GET     ``/status/<job>``   progress/results of a submitted batch
-GET     ``/healthz``        liveness, uptime, batching and cache counters
+GET     ``/healthz``        liveness and identity: status, version, pid, uptime
+GET     ``/metrics``        Prometheus exposition of :data:`WORKER_METRICS`
 ======  ==================  =================================================
 
 Start one from the shell with ``repro serve`` and point ``repro loadgen`` (or
@@ -26,6 +27,7 @@ any HTTP client) at it::
 
     repro serve --port 8765 --cache-dir .repro-service-cache
     curl -s localhost:8765/healthz
+    curl -s localhost:8765/metrics
     curl -s -X POST localhost:8765/compile \\
         -d '{"family": "lattice", "size": 12, "kind": "compile"}'
 """
@@ -33,6 +35,7 @@ any HTTP client) at it::
 from __future__ import annotations
 
 import json
+import os
 import queue
 import threading
 import time
@@ -42,6 +45,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.pipeline.jobs import BatchJob
 from repro.pipeline.runner import BatchRunner, JobOutcome
 from repro.service.batcher import MicroBatcher
+from repro.service.metrics import WORKER_METRICS, MetricsRegistry, log_event
 
 __all__ = [
     "CompileService",
@@ -130,7 +134,13 @@ class _AsyncBatch:
 
 
 class CompileService:
-    """The server-side state: runner, micro-batcher, async jobs, counters.
+    """The server-side state: runner, micro-batcher, async jobs, metrics.
+
+    The service owns a :class:`MetricsRegistry` holding every family of
+    :data:`WORKER_METRICS`: its own counters are instruments of it, and the
+    totals other objects keep (result cache, subgraph cache, refinement,
+    micro-batcher) are read into it at render time
+    (:meth:`render_metrics`).
 
     Parameters
     ----------
@@ -190,10 +200,16 @@ class CompileService:
                 f"compile_timeout_s must be > 0, got {compile_timeout_s}"
             )
         self.compile_timeout_s = compile_timeout_s
-        self._compile_timeouts = 0
+        self.metrics = MetricsRegistry()
+        self._instruments = self.metrics.declare(WORKER_METRICS)
+        ins = self._instruments
+        self._requests_served = ins["repro_worker_requests_served_total"]
+        self._deadline_requests = ins["repro_worker_deadline_requests_total"]
+        self._deadline_misses = ins["repro_worker_deadline_misses_total"]
+        self._admission_rejections = ins["repro_worker_admission_rejections_total"]
+        self._compile_timeouts = ins["repro_worker_compile_timeouts_total"]
+        self._fenced_requests = ins["repro_worker_fenced_requests_total"]
         if subgraph_cache_dir is not None:
-            import os
-
             from repro.core.compile_cache import CACHE_DIR_ENV, get_process_cache
 
             # Set the env var first so pool workers spawned later inherit the
@@ -211,20 +227,15 @@ class CompileService:
         self.background_refine = bool(background_refine)
         self._batches: dict[str, _AsyncBatch] = {}
         self._lock = threading.Lock()
-        self._requests_served = 0
         # Epoch fence (HA fleets): the highest X-Repro-Epoch ever seen is
         # the watermark; dispatches from a lower epoch come from a deposed
         # front end and are rejected (HTTP 409) instead of executed.
         self._max_epoch_seen = 0
-        self._fenced_requests = 0
         # Anytime/deadline serving state: an EWMA of recent compile
         # latencies times the in-flight depth estimates the queue wait that
         # admission control checks against each request's deadline.
         self._inflight_compiles = 0
         self._ewma_compile_seconds: float | None = None
-        self._deadline_requests = 0
-        self._deadline_misses = 0
-        self._admission_rejections = 0
         self._closed = threading.Event()
         # One worker executes async batches sequentially: concurrent /batch
         # submissions queue up instead of spawning unbounded compile threads
@@ -277,12 +288,9 @@ class CompileService:
         finally:
             with self._lock:
                 self._inflight_compiles -= 1
+        self._requests_served.inc()
         if outcome.error_kind == "timeout":
-            from repro.service.metrics import log_event
-
-            with self._lock:
-                self._compile_timeouts += 1
-                self._requests_served += 1
+            self._compile_timeouts.inc()
             log_event(
                 "compile_watchdog_timeout",
                 level="warning",
@@ -295,20 +303,19 @@ class CompileService:
             if outcome.ok
             else {}
         )
-        with self._lock:
-            self._requests_served += 1
-            if outcome.ok and not outcome.cache_hit:
-                sample = float(outcome.elapsed_seconds)
+        if outcome.ok and not outcome.cache_hit:
+            sample = float(outcome.elapsed_seconds)
+            with self._lock:
                 if self._ewma_compile_seconds is None:
                     self._ewma_compile_seconds = sample
                 else:
                     self._ewma_compile_seconds += _LATENCY_EWMA_ALPHA * (
                         sample - self._ewma_compile_seconds
                     )
-            if job.deadline_ms is not None:
-                self._deadline_requests += 1
-                if portfolio.get("deadline_missed"):
-                    self._deadline_misses += 1
+        if job.deadline_ms is not None:
+            self._deadline_requests.inc()
+            if portfolio.get("deadline_missed"):
+                self._deadline_misses.inc()
         pending = portfolio.get("pending_rungs") or []
         if pending and self.background_refine and not self._closed.is_set():
             from repro.core.portfolio import get_background_refiner
@@ -336,8 +343,7 @@ class CompileService:
             return
         estimated_wait_ms = queued * ewma * 1000.0
         if estimated_wait_ms > float(job.deadline_ms) * factor:
-            with self._lock:
-                self._admission_rejections += 1
+            self._admission_rejections.inc()
             raise ServiceDeadlineError(
                 f"estimated queue wait {estimated_wait_ms:.0f} ms exceeds "
                 f"deadline_ms={job.deadline_ms:g} for priority "
@@ -401,83 +407,64 @@ class CompileService:
         """
         with self._lock:
             if epoch < self._max_epoch_seen:
-                self._fenced_requests += 1
+                self._fenced_requests.inc()
                 return False
             self._max_epoch_seen = epoch
             return True
 
     def healthz(self) -> dict:
-        """Liveness body: uptime, request, batching and cache counters.
+        """Liveness and identity: status, version, pid, uptime and epoch.
 
-        ``subgraph_cache`` reports *this process's* tier of the
-        isomorphism-keyed compile cache; with ``max_workers > 1`` the pool
-        workers keep their own tiers (sharing only the disk directory).
+        ``epoch`` is the fence watermark, the highest leadership epoch any
+        dispatch carried.  Counters live in :meth:`render_metrics`.
         """
-        import os
-
         import repro
-        from repro.core.compile_cache import peek_process_cache
-        from repro.core.portfolio import refinement_stats
 
-        from repro.utils.faults import get_registry
-
-        cache = self.runner.cache
-        subgraph_cache = peek_process_cache()
-        with self._lock:
-            requests_served = self._requests_served
-            num_batches = len(self._batches)
-            compile_timeouts = self._compile_timeouts
-            portfolio_block = {
-                "deadline_requests": self._deadline_requests,
-                "deadline_misses": self._deadline_misses,
-                "admission_rejections": self._admission_rejections,
-                "inflight_compiles": self._inflight_compiles,
-                "ewma_compile_seconds": self._ewma_compile_seconds,
-            }
-        portfolio_block.update(refinement_stats().as_dict())
-        cache_block = {
-            "enabled": cache is not None,
-            "hits": 0,
-            "misses": 0,
-            "entries": 0,
-        }
-        if cache is not None:
-            cache_block.update(cache.stats())
-            cache_block["entries"] = len(cache)
-        body = {
+        return {
             "status": "ok",
             "version": repro.__version__,
             "pid": os.getpid(),
             "uptime_seconds": time.time() - self.started_at,
-            "requests_served": requests_served,
-            "async_batches": num_batches,
-            "microbatcher": self.batcher.stats.as_dict(),
-            "cache": cache_block,
-            "subgraph_cache": {"enabled": subgraph_cache is not None},
-            "portfolio": portfolio_block,
-            "watchdog": {
-                "compile_timeout_s": self.compile_timeout_s,
-                "compile_timeouts": compile_timeouts,
-            },
-            "epoch": {
-                "max_seen": self._max_epoch_seen,
-                "fenced_requests": self._fenced_requests,
-            },
+            "epoch": self._max_epoch_seen,
         }
-        registry = get_registry()
-        if registry is not None and registry.active:
-            body["faults"] = registry.snapshot()
+
+    def render_metrics(self) -> str:
+        """This worker's Prometheus exposition (``GET /metrics``).
+
+        The subgraph-cache families report *this process's* tier of the
+        isomorphism-keyed compile cache; with ``max_workers > 1`` the pool
+        workers keep their own tiers (sharing only the disk directory).
+        """
+        from repro.core.compile_cache import peek_process_cache
+        from repro.core.portfolio import refinement_stats
+
+        result_cache = self.runner.cache.stats() if self.runner.cache is not None else {}
+        subgraph_cache = peek_process_cache()
+        subgraph = subgraph_cache.stats.as_dict() if subgraph_cache is not None else {}
+        disk_tiers = [result_cache]
         if subgraph_cache is not None:
-            body["subgraph_cache"].update(
-                entries=len(subgraph_cache),
-                capacity=subgraph_cache.capacity,
-                disk=subgraph_cache.disk_enabled,
-                **subgraph_cache.stats.as_dict(),
-            )
-            disk_stats = subgraph_cache.disk_stats()
-            if disk_stats is not None:
-                body["subgraph_cache"]["disk_tier"] = disk_stats
-        return body
+            disk_tiers.append(subgraph_cache.disk_stats() or {})
+        breakers = [tier["breaker"] for tier in disk_tiers if "breaker" in tier]
+        batcher = self.batcher.stats
+        totals = {
+            "microbatches": batcher.batches,
+            "microbatched_requests": batcher.requests,
+            "result_cache_hits": result_cache.get("hits", 0),
+            "result_cache_misses": result_cache.get("misses", 0),
+            "subgraph_cache_hits": subgraph.get("hits", 0),
+            "subgraph_cache_misses": subgraph.get("misses", 0),
+            "subgraph_cache_stores": subgraph.get("stores", 0),
+            "refinement_improvements": refinement_stats().improvements,
+            "cache_corrupt_entries": sum(tier.get("corrupt_entries", 0) for tier in disk_tiers),
+            "cache_disk_errors": sum(tier.get("disk_errors", 0) for tier in disk_tiers),
+            "disk_breaker_opens": sum(breaker["opens"] for breaker in breakers),
+        }
+        for name, value in totals.items():
+            self._instruments[f"repro_worker_{name}_total"].set_total(value)
+        self._instruments["repro_worker_disk_breaker_open"].set(
+            float(any(breaker["state"] == "open" for breaker in breakers))
+        )
+        return self.metrics.render()
 
     def close(self) -> None:
         """Shut the micro-batcher and the batch worker down (idempotent)."""
@@ -528,8 +515,7 @@ class CompileService:
             return
         batch.report = report
         batch.status = "done"
-        with self._lock:
-            self._requests_served += len(jobs)
+        self._requests_served.inc(len(jobs))
 
     def _evict_finished_batches(self) -> None:
         """Drop the oldest finished batches beyond the cap (lock held)."""
@@ -544,20 +530,69 @@ class CompileService:
             del self._batches[job_id]
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Route HTTP requests to the :class:`CompileService`."""
+#: Content type of a Prometheus text exposition (``GET /metrics``).
+EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 plumbing shared by the worker and fleet front-end handlers."""
 
     protocol_version = "HTTP/1.1"
+
+    def _read_json(self) -> dict:
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError as exc:
+            # Unknown body length: the connection cannot be re-synced.
+            self.close_connection = True
+            raise ServiceRequestError("bad Content-Length header") from exc
+        if length <= 0:
+            raise ServiceRequestError("request body must be a JSON object")
+        raw = self.rfile.read(length)
+        try:
+            payload = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ServiceRequestError(f"invalid JSON body: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ServiceRequestError("request body must be a JSON object")
+        return payload
+
+    def _send(self, status: int, body: dict | str, request_id: str | None = None) -> None:
+        """Send a JSON body, or a text exposition when ``body`` is a string."""
+        if isinstance(body, str):
+            data, content_type = body.encode("utf-8"), EXPOSITION_CONTENT_TYPE
+        else:
+            data, content_type = json.dumps(body).encode("utf-8"), "application/json"
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
+        if request_id is not None:
+            self.send_header("X-Request-Id", request_id)
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        """Log to stderr only when the server was started verbose."""
+        if getattr(self.server, "verbose", False):
+            super().log_message(format, *args)
+
+
+class _Handler(JSONRequestHandler):
+    """Route HTTP requests to the :class:`CompileService`."""
+
     server: "CompileServer"
 
     # ------------------------------------------------------------------ #
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """Serve ``/healthz`` and ``/status/<job>``."""
+        """Serve ``/healthz``, ``/metrics`` and ``/status/<job>``."""
         self.server.track_request(1)
         try:
             if self.path == "/healthz":
                 self._send(200, self.server.service.healthz())
+                return
+            if self.path == "/metrics":
+                self._send(200, self.server.service.render_metrics())
                 return
             if self.path.startswith("/status/"):
                 job_id = self.path[len("/status/"):]
@@ -626,39 +661,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(429, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - never kill the server thread
             self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
-
-    # ------------------------------------------------------------------ #
-
-    def _read_json(self) -> dict:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError as exc:
-            # Unknown body length: the connection cannot be re-synced.
-            self.close_connection = True
-            raise ServiceRequestError("bad Content-Length header") from exc
-        if length <= 0:
-            raise ServiceRequestError("request body must be a JSON object")
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ServiceRequestError(f"invalid JSON body: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ServiceRequestError("request body must be a JSON object")
-        return payload
-
-    def _send(self, status: int, body: dict) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Log to stderr only when the server was started verbose."""
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
 
 
 class CompileServer(ThreadingHTTPServer):

@@ -15,7 +15,7 @@ Point                     Fires
 ``worker.spawn``          before the supervisor spawns a worker process
 ``dispatch.forward``      before the front end forwards a request to a worker
 ``compile.step``          at the start of every batch-job execution
-``heartbeat.probe``       before the supervisor probes a worker's ``/healthz``
+``heartbeat.probe``       before the supervisor probes a worker's ``/metrics``
 ``replication.send``      before the primary sends a frame to the standby
 ``lease.renew``           before the primary rewrites its leadership lease
 ========================  ====================================================
@@ -266,7 +266,7 @@ class FaultRegistry:
         return bool(self._states)
 
     def snapshot(self) -> dict:
-        """Observability view for ``/healthz``: fire counts per point."""
+        """Observability view: fire counts per point."""
         with self._lock:
             return {
                 "active": self.active,

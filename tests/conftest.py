@@ -45,3 +45,23 @@ def random_small_graphs() -> list[GraphState]:
         p = rng.choice([0.3, 0.5, 0.7])
         graphs.append(GraphState.from_networkx(nx.gnp_random_graph(n, p, seed=trial)))
     return graphs
+
+
+@pytest.fixture
+def sample_value():
+    """``sample_value(exposition, name, labels="")``: the value of one sample.
+
+    ``labels`` is the text between the braces as rendered, e.g.
+    ``'worker="0"'``; the sample must exist.
+    """
+    from repro.service.metrics import parse_exposition
+
+    def value(text: str, name: str, labels: str = "") -> float:
+        families, _problems = parse_exposition(text)
+        for family in families.values():
+            for sample, sample_labels, raw in family.samples:
+                if sample == name and sample_labels == labels:
+                    return float(raw)
+        raise KeyError(f"no sample {name}{{{labels}}} in the exposition")
+
+    return value

@@ -8,8 +8,9 @@ whole active pool.  This file drives both states and the dense
 large graphs (so the active pool is large) under the strategies that stress
 that bookkeeping:
 
-* ``free_isolated_eagerly=False`` — the touched set accumulates across the
-  whole reduction and is drained only by :meth:`finish`;
+* ``lazy_free`` — the driver skips the free pass after each photon, so the
+  touched set accumulates across the whole reduction and is drained only by
+  :meth:`finish`;
 * ``prefer_disconnect_over_allocate=True`` — liberation frees emitters
   outside the free pass;
 * a tight non-strict ``emitter_budget`` — drives the liberation path and
@@ -52,11 +53,11 @@ LARGE_GRAPHS = (
 
 
 def make_strategy(kind: str, budget: int) -> GreedyReductionStrategy:
-    if kind == "lazy_free":
-        return GreedyReductionStrategy(free_isolated_eagerly=False)
     if kind == "prefer_disconnect":
         return GreedyReductionStrategy(prefer_disconnect_over_allocate=True)
-    return GreedyReductionStrategy(emitter_budget=budget, strict_budget=False)
+    if kind == "tight_budget":
+        return GreedyReductionStrategy(emitter_budget=budget)
+    return GreedyReductionStrategy()
 
 
 def streaming_state(graph, strategy, seed: int | None = None) -> StreamingReductionState:
@@ -70,7 +71,6 @@ def streaming_state(graph, strategy, seed: int | None = None) -> StreamingReduct
     state = StreamingReductionState(
         graph.num_vertices,
         emitter_budget=strategy.emitter_budget,
-        strict_budget=strategy.strict_budget,
     )
     admission = list(range(graph.num_vertices))
     if seed is not None:
@@ -82,12 +82,16 @@ def streaming_state(graph, strategy, seed: int | None = None) -> StreamingReduct
     return state
 
 
-def drive(state, order, strategy, check_pool: bool):
-    """Reduce ``order`` (photon indices), passing a streaming state its slots."""
+def drive(state, order, strategy, check_pool: bool, eager: bool = True):
+    """Reduce ``order`` (photon indices), passing a streaming state its slots.
+
+    ``eager=False`` skips the free pass after each photon (the ``lazy_free``
+    case), leaving every freeing to :meth:`finish`.
+    """
     slot_of = getattr(state, "_slot_of", None)
     for photon in order:
         reduce_photon(state, photon if slot_of is None else slot_of[photon], strategy)
-        if strategy.free_isolated_eagerly:
+        if eager:
             state.free_isolated_emitters()
             if check_pool:
                 idle = [e for e in state.active_emitters if state.emitter_degree(e) == 0]
@@ -111,12 +115,13 @@ def test_bitset_states_match_oracle_on_large_graphs(graph_choice, kind, budget, 
     order = list(range(graph.num_vertices))
     np.random.default_rng(seed).shuffle(order)
 
-    kwargs = dict(emitter_budget=strategy.emitter_budget, strict_budget=strategy.strict_budget)
-    dense = drive(ReductionState(graph, **kwargs), order, strategy, check_pool=False)
-    packed = drive(PackedReductionState(graph, **kwargs), order, strategy, check_pool=True)
+    eager = kind != "lazy_free"
+    kwargs = dict(emitter_budget=strategy.emitter_budget)
+    dense = drive(ReductionState(graph, **kwargs), order, strategy, False, eager)
+    packed = drive(PackedReductionState(graph, **kwargs), order, strategy, True, eager)
     streamed_state = streaming_state(graph, strategy, seed=seed + 1)
     assert any(streamed_state._slot_of[i] != i for i in range(graph.num_vertices))
-    streamed = drive(streamed_state, order, strategy, check_pool=True)
+    streamed = drive(streamed_state, order, strategy, True, eager)
 
     assert packed.operations == dense.operations
     assert streamed.operations == dense.operations
@@ -132,8 +137,8 @@ def test_lazy_free_pass_sees_every_emitter_touched_since_the_start():
     graph = GraphSpec(family="regular", size=151, seed=7).build()
     strategy = make_strategy("lazy_free", 0)
     order = list(reversed(range(graph.num_vertices)))
-    dense = drive(ReductionState(graph), order, strategy, check_pool=False)
-    packed = drive(PackedReductionState(graph), order, strategy, check_pool=False)
+    dense = drive(ReductionState(graph), order, strategy, check_pool=False, eager=False)
+    packed = drive(PackedReductionState(graph), order, strategy, check_pool=False, eager=False)
     frees = [op for op in dense.operations if op.op_type is ReductionOpType.FREE_EMITTER]
     assert len(frees) == dense.num_emitters_allocated > 100
     assert packed.operations == dense.operations
@@ -231,11 +236,15 @@ def test_snapshot_restore_matches_fresh_replay(cls, graph_choice, kind, budget, 
     prefix, suffix = order[:split], order[split:]
     detour = list(suffix)
     rng.shuffle(detour)
-    kwargs = dict(emitter_budget=strategy.emitter_budget, strict_budget=strategy.strict_budget)
+    kwargs = dict(emitter_budget=strategy.emitter_budget)
 
     def replay(state, vertices):
         for vertex in vertices:
-            reduce_and_free(state, state.photon_of_vertex[vertex], strategy)
+            photon = state.photon_of_vertex[vertex]
+            if kind == "lazy_free":
+                reduce_photon(state, photon, strategy)
+            else:
+                reduce_and_free(state, photon, strategy)
         return state
 
     at_prefix = state_view(replay(cls(graph, **kwargs), prefix))

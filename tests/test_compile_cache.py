@@ -302,17 +302,18 @@ class TestSurfacing:
         result = compile_graph(lattice_graph(3, 4), subgraph_cache=False)
         assert result.subgraph_cache_stats is None
 
-    def test_healthz_reports_the_subgraph_cache(self):
+    def test_healthz_reports_the_subgraph_cache(self, sample_value):
         from repro.service.server import CompileService
 
         service = CompileService()
         try:
             body = service.compile({"family": "lattice", "size": 9, "kind": "compile"})
             assert body["ok"]
-            health = service.healthz()
-            assert health["subgraph_cache"]["enabled"] is True
-            assert health["subgraph_cache"]["stores"] >= 1
-            assert "hit_rate" in health["subgraph_cache"]
+            text = service.render_metrics()
+            assert sample_value(text, "repro_worker_subgraph_cache_stores_total") >= 1
+            lookups = sample_value(text, "repro_worker_subgraph_cache_hits_total")
+            lookups += sample_value(text, "repro_worker_subgraph_cache_misses_total")
+            assert lookups >= 1
         finally:
             service.close()
 

@@ -492,7 +492,7 @@ class TestCompileWatchdog:
         finally:
             batcher.close()
 
-    def test_service_watchdog_answers_504_shaped_timeouts(self):
+    def test_service_watchdog_answers_504_shaped_timeouts(self, sample_value):
         from repro.service.server import CompileService
 
         install_schedule(
@@ -505,9 +505,9 @@ class TestCompileWatchdog:
             body = service.compile({"family": "ghz", "size": 4, "kind": "compile"})
             assert body["ok"] is False
             assert body["error_kind"] == "timeout"
-            watchdog = service.healthz()["watchdog"]
-            assert watchdog["compile_timeout_s"] == 0.05
-            assert watchdog["compile_timeouts"] == 1
+            assert service.compile_timeout_s == 0.05
+            text = service.render_metrics()
+            assert sample_value(text, "repro_worker_compile_timeouts_total") == 1
         finally:
             install_schedule(None)
             service.close()

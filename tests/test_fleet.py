@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -24,15 +26,20 @@ from repro.service.client import RETRYABLE_STATUSES, ServiceClient, ServiceError
 from repro.service.fleet import (
     HEALTHY,
     FleetDrainingError,
+    FleetSupervisor,
     rendezvous_order,
     start_fleet,
 )
 from repro.service.loadgen import run_loadgen
 from repro.service.metrics import (
     FLEET_METRICS,
+    WORKER_METRICS,
     MetricsRegistry,
+    parse_exposition,
+    relabel_expositions,
     validate_exposition,
 )
+from repro.service.server import CompileService
 from repro.service.metrics import _main as metrics_main
 
 # --------------------------------------------------------------------------- #
@@ -179,15 +186,11 @@ class TestPendingJournal:
 
 
 def _full_exposition() -> str:
-    registry = MetricsRegistry()
-    for name, (kind, help_text) in FLEET_METRICS.items():
-        factory = {
-            "counter": registry.counter,
-            "gauge": registry.gauge,
-            "summary": registry.summary,
-        }[kind]
-        factory(name, help_text)
-    return registry.render()
+    """A front-end scrape: its own families plus one relayed worker."""
+    front_end, worker = MetricsRegistry(), MetricsRegistry()
+    front_end.declare(FLEET_METRICS)
+    worker.declare(WORKER_METRICS)
+    return front_end.render() + relabel_expositions({"0": worker.render()})
 
 
 class TestMetrics:
@@ -224,6 +227,51 @@ class TestMetrics:
         assert "lat_seconds_count 4" in rendered
         assert summary.count == 4
 
+    def test_labelled_family_renders_no_stray_unlabelled_sample(self):
+        registry = MetricsRegistry()
+        up = registry.gauge("demo_up", "demo")
+        hits = registry.counter("demo_hits_total", "demo")
+        idle = registry.counter("demo_idle_total", "demo")
+        up.set(1, worker="0")
+        hits.inc(worker="1")
+        samples = {
+            name: family.samples for name, family in parse_exposition(registry.render())[0].items()
+        }
+        assert samples["demo_up"] == [("demo_up", 'worker="0"', "1")]
+        assert samples["demo_hits_total"] == [("demo_hits_total", 'worker="1"', "1")]
+        # A family with no child at all still renders, as one zero.
+        assert samples["demo_idle_total"] == [("demo_idle_total", "", "0")]
+        assert idle.value() == 0
+
+    def test_parse_groups_summary_children_under_their_family(self):
+        registry = MetricsRegistry()
+        registry.summary("lat_seconds", "latency").observe(0.25)
+        families, problems = parse_exposition(registry.render() + "bad line here\n")
+        assert problems and "unparseable" in problems[0]
+        family = families["lat_seconds"]
+        assert family.kind == "summary" and family.help_text == "latency"
+        assert [name for name, _, _ in family.samples][-2:] == [
+            "lat_seconds_count", "lat_seconds_sum"
+        ]
+
+    @pytest.mark.parametrize(
+        "heading, declared",
+        [("**Fleet front-end families**", FLEET_METRICS), ("**Worker families**", WORKER_METRICS)],
+    )
+    def test_operations_doc_tables_match_the_declared_families(self, heading, declared):
+        # Each table under "## Metrics" in docs/operations.md must list
+        # exactly its declared families, by name and kind.
+        doc = Path(__file__).resolve().parents[1] / "docs" / "operations.md"
+        section = doc.read_text(encoding="utf-8").split("\n## Metrics\n", 1)[1]
+        table = section.split(heading, 1)[1].split("\n|---", 1)[1]
+        rows = {}
+        for line in table.splitlines()[1:]:
+            if not line.startswith("|"):
+                break
+            name, kind = re.match(r"\| `(\w+)` \| (\w+) \|", line).groups()
+            rows[name] = kind
+        assert rows == {name: kind for name, (kind, _help) in declared.items()}
+
     def test_cli_gate_exit_codes(self, tmp_path):
         good = tmp_path / "good.txt"
         good.write_text(_full_exposition(), encoding="utf-8")
@@ -232,6 +280,75 @@ class TestMetrics:
         bad.write_text("nope 1\n", encoding="utf-8")
         assert metrics_main([str(bad)]) == 1
         assert metrics_main([str(tmp_path / "absent.txt")]) == 2
+
+
+# --------------------------------------------------------------------------- #
+# Worker exposition relay (fast: stub expositions, no worker processes)
+# --------------------------------------------------------------------------- #
+
+
+def _worker_scrape(**totals: int) -> str:
+    """A worker exposition with ``repro_worker_<key>_total`` set per keyword."""
+    registry = MetricsRegistry()
+    instruments = registry.declare(WORKER_METRICS)
+    for key, value in totals.items():
+        instruments[f"repro_worker_{key}_total"].set_total(value)
+    return registry.render()
+
+
+class TestWorkerRelay:
+    def test_fleet_families_name_no_worker_counter(self):
+        assert not set(FLEET_METRICS) & set(WORKER_METRICS)
+        assert all(name.startswith("repro_fleet_") for name in FLEET_METRICS)
+        assert all(name.startswith("repro_worker_") for name in WORKER_METRICS)
+
+    def test_restarted_worker_series_restart_on_their_own(self, sample_value):
+        supervisor = FleetSupervisor(3)
+        scrapes = [
+            _worker_scrape(requests_served=7, result_cache_misses=5),
+            _worker_scrape(requests_served=4, result_cache_misses=3),
+            "",  # never answered a probe: contributes no series
+        ]
+        for worker, scrape in zip(supervisor.workers, scrapes):
+            worker.last_exposition = scrape
+        before = supervisor.render_metrics()
+        assert validate_exposition(before) == []
+        # Worker 1 restarts: its new process counts from zero.
+        supervisor.workers[1].last_exposition = _worker_scrape(requests_served=1)
+        after = supervisor.render_metrics()
+        served = "repro_worker_requests_served_total"
+        assert sample_value(before, served, 'worker="0"') == 7
+        assert sample_value(after, served, 'worker="0"') == 7
+        assert sample_value(before, served, 'worker="1"') == 4
+        assert sample_value(after, served, 'worker="1"') == 1
+        assert sample_value(after, "repro_worker_result_cache_misses_total", 'worker="1"') == 0
+        assert sample_value(after, "repro_worker_result_cache_misses_total", 'worker="0"') == 5
+        with pytest.raises(KeyError):
+            sample_value(after, served, 'worker="2"')
+
+    def test_no_front_end_sample_sums_across_workers(self):
+        supervisor = FleetSupervisor(2)
+        for worker, served in zip(supervisor.workers, (3, 9)):
+            worker.last_exposition = _worker_scrape(requests_served=served)
+        families, problems = parse_exposition(supervisor.render_metrics())
+        assert problems == []
+        for name in WORKER_METRICS:
+            labels = sorted(labels for _, labels, _ in families[name].samples)
+            assert labels == ['worker="0"', 'worker="1"'], name
+        served = families["repro_worker_requests_served_total"].samples
+        assert sorted(value for _, _, value in served) == ["3", "9"]
+
+    def test_a_family_added_to_a_worker_registry_is_relayed(self, sample_value):
+        service = CompileService(background_refine=False)
+        try:
+            service.metrics.counter("repro_worker_demo_total", "A new family.").inc(2)
+            supervisor = FleetSupervisor(1)
+            supervisor.workers[0].last_exposition = service.render_metrics()
+            text = supervisor.render_metrics()
+        finally:
+            service.close()
+        assert sample_value(text, "repro_worker_demo_total", 'worker="0"') == 2
+        assert "# TYPE repro_worker_demo_total counter" in text
 
 
 # --------------------------------------------------------------------------- #

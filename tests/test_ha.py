@@ -84,16 +84,16 @@ class TestClientFailover:
 
 
 class TestWorkerEpochFence:
-    def test_note_epoch_is_a_monotonic_watermark(self):
+    def test_note_epoch_is_a_monotonic_watermark(self, sample_value):
         service = CompileService()
         try:
             assert service.note_epoch(2)
             assert service.note_epoch(2)  # equal is fine (same primary)
             assert service.note_epoch(5)
             assert not service.note_epoch(3)  # deposed primary's dispatch
-            body = service.healthz()
-            assert body["epoch"]["max_seen"] == 5
-            assert body["epoch"]["fenced_requests"] == 1
+            assert service.healthz()["epoch"] == 5
+            text = service.render_metrics()
+            assert sample_value(text, "repro_worker_fenced_requests_total") == 1
         finally:
             service.close()
 

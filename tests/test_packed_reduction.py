@@ -21,7 +21,6 @@ from repro.core.compiler import compile_graph
 from repro.core.packed_reduction import PackedReductionState, make_reduction_state
 from repro.core.plan_scoring import score_sequence
 from repro.core.reduction import (
-    InsufficientEmittersError,
     ReductionOpType,
     ReductionState,
 )
@@ -125,25 +124,11 @@ class TestOracleEquivalence:
         )
         assert_sequences_identical(graph, None, strategy)
 
-    @given(seed=st.integers(0, 2_000), size=st.integers(5, 14))
-    @settings(max_examples=30, deadline=None)
-    def test_strict_budget_raises_identically(self, seed, size):
-        graph = zoo_graph("erdos", size, seed)
-        strategy = GreedyReductionStrategy(emitter_budget=1, strict_budget=True)
-        outcomes = []
-        for backend in ("dense", "packed"):
-            try:
-                sequence = greedy_reduce(graph, strategy=strategy, backend=backend)
-                outcomes.append(("ok", sequence.operations))
-            except InsufficientEmittersError:
-                outcomes.append(("raised", None))
-        assert outcomes[0] == outcomes[1]
-
     def test_budget_overflow_is_recorded_identically(self):
         # A 4x4 lattice needs more than one emitter: the soft budget must
         # overflow by the same amount on both backends.
         graph = lattice_graph(4, 4)
-        strategy = GreedyReductionStrategy(emitter_budget=1, strict_budget=False)
+        strategy = GreedyReductionStrategy(emitter_budget=1)
         dense = greedy_reduce(graph, strategy=strategy, backend="dense")
         packed = greedy_reduce(graph, strategy=strategy, backend="packed")
         assert dense.emitters_over_budget > 0

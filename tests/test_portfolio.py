@@ -308,7 +308,7 @@ class TestConfigAndJobValidation:
 
 
 class TestServiceDeadlines:
-    def test_compile_with_deadline_updates_healthz_counters(self):
+    def test_compile_with_deadline_updates_healthz_counters(self, sample_value):
         from repro.service.server import CompileService
 
         service = CompileService(background_refine=False)
@@ -323,15 +323,15 @@ class TestServiceDeadlines:
                 }
             )
             assert body["ok"]
-            portfolio = service.healthz()["portfolio"]
-            assert portfolio["deadline_requests"] == 1
-            assert portfolio["deadline_misses"] == 0
-            assert portfolio["admission_rejections"] == 0
-            assert portfolio["ewma_compile_seconds"] > 0.0
+            text = service.render_metrics()
+            assert sample_value(text, "repro_worker_deadline_requests_total") == 1
+            assert sample_value(text, "repro_worker_deadline_misses_total") == 0
+            assert sample_value(text, "repro_worker_admission_rejections_total") == 0
+            assert service._ewma_compile_seconds > 0.0
         finally:
             service.close()
 
-    def test_admission_control_rejects_overloaded_low_priority(self):
+    def test_admission_control_rejects_overloaded_low_priority(self, sample_value):
         from repro.service.server import CompileService, ServiceDeadlineError
 
         service = CompileService(background_refine=False)
@@ -355,7 +355,8 @@ class TestServiceDeadlines:
                 priority="high",
             )
             service._admit_or_reject(rush)
-            assert service.healthz()["portfolio"]["admission_rejections"] == 1
+            text = service.render_metrics()
+            assert sample_value(text, "repro_worker_admission_rejections_total") == 1
         finally:
             service.close()
 

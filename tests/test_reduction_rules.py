@@ -15,7 +15,6 @@ import pytest
 
 from repro.circuit.validation import verify_circuit_generates
 from repro.core.reduction import (
-    InsufficientEmittersError,
     ReductionOp,
     ReductionOpType,
     ReductionState,
@@ -154,13 +153,6 @@ class TestDisconnectAndIsolated:
 
 
 class TestBudgetsAndFinish:
-    def test_strict_budget_raises(self):
-        target = linear_cluster(3)
-        state = ReductionState(target, emitter_budget=1, strict_budget=True)
-        state.apply_swap(2)
-        with pytest.raises(InsufficientEmittersError):
-            state.apply_swap(0)
-
     def test_soft_budget_records_overflow(self):
         target = linear_cluster(3)
         state = ReductionState(target, emitter_budget=1)

@@ -17,6 +17,7 @@ from repro.service.loadgen import (
     run_loadgen,
     workload_payloads,
 )
+from repro.service.metrics import WORKER_METRICS, validate_exposition
 from repro.service.server import CompileService, start_server
 
 
@@ -34,12 +35,32 @@ def served(tmp_path_factory):
 
 
 class TestHealthz:
-    def test_reports_ok_and_counters(self, served):
+    def test_reports_ok_and_counters(self, served, sample_value):
         body = served.healthz()
         assert body["status"] == "ok"
-        assert body["cache"]["enabled"] is True
         assert body["uptime_seconds"] >= 0
-        assert "microbatcher" in body
+        assert set(body) == {"status", "version", "pid", "uptime_seconds", "epoch"}
+        # The counters live on /metrics: the result cache is enabled (a
+        # repeat is a hit) and the micro-batcher families are exported.
+        payload = {"family": "ring", "size": 5, "seed": 11, "kind": "compile"}
+        served.compile_payload(payload)
+        assert served.compile_payload(payload)["cache_hit"] is True
+        text = served.metrics()
+        assert sample_value(text, "repro_worker_result_cache_hits_total") >= 1
+        assert sample_value(text, "repro_worker_microbatches_total") >= 1
+        assert sample_value(text, "repro_worker_microbatched_requests_total") >= 2
+
+
+class TestMetricsEndpoint:
+    def test_single_server_exposition_validates_against_worker_metrics(self, served):
+        text = served.metrics()
+        assert validate_exposition(text, WORKER_METRICS) == []
+
+    def test_counts_requests_served(self, served, sample_value):
+        before = sample_value(served.metrics(), "repro_worker_requests_served_total")
+        served.compile(family="linear", size=4, kind="compile")
+        after = sample_value(served.metrics(), "repro_worker_requests_served_total")
+        assert after == before + 1
 
 
 class TestCompileEndpoint:
