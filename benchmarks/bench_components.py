@@ -1,9 +1,9 @@
 """Micro-benchmarks of the main substrates.
 
 These are not paper figures; they track the performance of the building
-blocks (stabilizer simulation, greedy reduction, partitioning, verification)
-so that regressions in the substrates are visible independently of the
-end-to-end sweeps.
+blocks (stabilizer simulation, greedy reduction, partitioning, leaf-order
+search, verification) so that regressions in the substrates are visible
+independently of the end-to-end sweeps.
 """
 
 from __future__ import annotations
@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from repro.baseline.naive import BaselineCompiler
 from repro.circuit.validation import verify_circuit_generates
+from repro.core.config import CompilerConfig
 from repro.core.partition import GraphPartitioner
 from repro.core.strategies import greedy_reduce
+from repro.core.subgraph_compiler import LeafSearchStats, SubgraphCompiler
 from repro.evaluation.experiments import fast_config
 from repro.graphs.generators import lattice_graph, waxman_graph
+from repro.pipeline.jobs import GraphSpec
 from repro.stabilizer.tableau import StabilizerState
 
 
@@ -43,6 +46,31 @@ def test_partitioner_waxman(benchmark):
     partitioner = GraphPartitioner(fast_config())
     result = benchmark(lambda: partitioner.partition(graph))
     assert sum(len(b) for b in result.blocks) == 30
+
+
+def test_leaf_search_live(benchmark):
+    """Every leaf search of four 64-108 vertex zoo graphs, run live.
+
+    ``subgraph_cache=False`` keeps the cache and the leaf atlas out, so this
+    times the search itself, which a default cold compile no longer runs.
+    """
+    config = CompilerConfig(subgraph_cache=False)
+    specs = [("random", 64, 1), ("erdos", 80, 2), ("smallworld", 96, 3), ("regular", 108, 4)]
+    leaves = []
+    for family, size, seed in specs:
+        partition = GraphPartitioner(config).partition(GraphSpec(family, size, seed).build())
+        graph = partition.transformed_graph
+        leaves.extend(graph.induced_subgraph(block) for block in partition.blocks)
+    compiler = SubgraphCompiler(config)
+
+    def search():
+        stats = LeafSearchStats()
+        for leaf in leaves:
+            compiler.compile_flexible(leaf, stats=stats)
+        return stats
+
+    stats = benchmark.pedantic(search, rounds=3, iterations=1)
+    assert stats.orders > 0 and stats.atlas_hits == 0
 
 
 def test_end_to_end_verification(benchmark):

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Six subcommands cover the common workflows:
+Seven subcommands cover the common workflows:
 
 * ``repro compile`` — compile one benchmark graph and print the circuit
   metrics (optionally the gate listing);
@@ -17,7 +17,9 @@ Six subcommands cover the common workflows:
   SIGKILLs one fleet worker mid-load (the fault-injection CI gate);
 * ``repro bench`` — run the emitter perf-trajectory benchmark
   (naive-vs-incremental height function, dense-vs-packed end-to-end compile,
-  cold-vs-warm subgraph compile cache) and write ``BENCH_emitters.json``.
+  cold-vs-warm subgraph compile cache) and write ``BENCH_emitters.json``;
+* ``repro validate-metrics`` — check a scraped ``/metrics`` exposition:
+  every declared fleet and worker family present and numeric.
 
 Examples::
 
@@ -48,13 +50,15 @@ Examples::
     repro loadgen --self-serve --self-serve-workers 2 --requests 24 \\
         --fault-schedule tests/data/chaos_schedule.json --poison-seed 666
     repro compile --family random --size 24 --deadline-ms 500
+    repro compile --family lattice --size 64 --profile
+    repro validate-metrics fleet-metrics.txt
     repro bench --sizes 64 128 256 --compile-sizes 32 64 128 --output BENCH_emitters.json
     repro bench --portfolio-sizes 16 24 --portfolio-deadlines-ms 50 500 5000
     repro bench --cache-sizes 128 256 --output BENCH_emitters.json
 
 Every subcommand exits with its own non-zero code on failure so scripts can
 tell what broke: ``2`` usage (argparse), ``3`` compile, ``4`` figure, ``5``
-batch, ``6`` serve, ``7`` loadgen, ``8`` bench.
+batch, ``6`` serve, ``7`` loadgen, ``8`` bench, ``9`` validate-metrics.
 
 (The ``repro-emitter`` alias of the console script is kept for backwards
 compatibility.)
@@ -63,6 +67,7 @@ compatibility.)
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -87,6 +92,7 @@ __all__ = [
     "EXIT_SERVE",
     "EXIT_LOADGEN",
     "EXIT_BENCH",
+    "EXIT_VALIDATE_METRICS",
 ]
 
 #: Exit codes, one per subcommand, so callers can tell failures apart
@@ -98,6 +104,7 @@ EXIT_BATCH = 5
 EXIT_SERVE = 6
 EXIT_LOADGEN = 7
 EXIT_BENCH = 8
+EXIT_VALIDATE_METRICS = 9
 
 _FIGURES = {
     "fig5": lambda args: figures.figure5_emitter_usage(),
@@ -204,6 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_parser.add_argument(
         "--show-circuit", action="store_true", help="print the compiled gate list"
+    )
+    compile_parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="print the wall time of each pipeline stage and the leaf-search work",
     )
 
     figure_parser = subparsers.add_parser(
@@ -641,6 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="BENCH_emitters.json",
         help="where to write the benchmark record",
     )
+
+    validate_parser = subparsers.add_parser(
+        "validate-metrics",
+        help="check a scraped /metrics exposition against the declared families",
+    )
+    validate_parser.add_argument("file", help="the scraped exposition text")
     return parser
 
 
@@ -758,8 +776,16 @@ def _run_compile(args: argparse.Namespace) -> int:
         print(
             "subgraph compile cache: "
             f"hits {stats['hits']}  misses {stats['misses']}  "
-            f"hit rate {stats['hit_rate']:.2f}"
+            f"hit rate {stats['hit_rate']:.2f}  "
+            f"atlas hits {result.leaf_search_stats.atlas_hits}"
         )
+    if args.profile:
+        print("stage seconds:")
+        for stage, seconds in result.stage_seconds.items():
+            print(f"  {stage}: {seconds:.4f}")
+        print("leaf search:")
+        for name, value in dataclasses.asdict(result.leaf_search_stats).items():
+            print(f"  {name}: {value}")
     if args.baseline:
         baseline = BaselineCompiler(hardware=config.hardware, verify=args.verify).compile(graph)
         print("baseline result:")
@@ -1323,6 +1349,19 @@ def _run_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_validate_metrics(args: argparse.Namespace) -> int:
+    from repro.service.metrics import FLEET_METRICS, WORKER_METRICS, validate_exposition
+
+    with open(args.file, "r", encoding="utf-8") as handle:
+        problems = validate_exposition(handle.read())
+    for problem in problems:
+        print(f"metrics: {problem}", file=sys.stderr)
+    if problems:
+        return EXIT_VALIDATE_METRICS
+    print(f"metrics: ok ({len(FLEET_METRICS) + len(WORKER_METRICS)} declared families present)")
+    return EXIT_OK
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
@@ -1346,6 +1385,7 @@ def main(argv: list[str] | None = None) -> int:
         "serve": (_run_serve, EXIT_SERVE),
         "loadgen": (_run_loadgen, EXIT_LOADGEN),
         "bench": (_run_bench, EXIT_BENCH),
+        "validate-metrics": (_run_validate_metrics, EXIT_VALIDATE_METRICS),
     }
     handler, failure_code = handlers[args.command]
     try:

@@ -325,12 +325,12 @@ class SubgraphCompileCache:
             self._store(key, entry)
         return entry
 
-    def put(self, key: tuple, entry: CachedCompilation) -> None:
-        """Insert ``entry`` (write-through to the disk tier when enabled)."""
+    def put(self, key: tuple, entry: CachedCompilation, persist: bool = True) -> None:
+        """Insert ``entry``; write it through to the disk tier when enabled and ``persist``."""
         with self._lock:
             self.stats.stores += 1
             self._store(key, entry)
-        if self._disk is not None:
+        if persist and self._disk is not None:
             self._disk.put(_key_digest(key), entry.as_dict())
 
     def clear(self) -> None:

@@ -55,7 +55,9 @@ class CompilerConfig:
             (:mod:`repro.core.compile_cache`).  Leaf searches always run in
             canonical space, so toggling the cache never changes results —
             only whether repeated (isomorphic) leaves pay for the search
-            again.
+            again.  It also gates the leaf atlas
+            (:mod:`repro.core.leaf_atlas`): ``False`` always runs the live
+            search.
         deadline_ms: anytime-compilation wall-clock deadline in milliseconds
             for :mod:`repro.core.portfolio`: the portfolio compiler returns
             its verified best-so-far once the deadline is reached (the

@@ -34,6 +34,12 @@ remapped through the canonical permutation instead of re-searched; results
 are bit-identical to a cache-off compile by construction.  Graphs too large
 or too symmetric to canonicalise cheaply fall back to the direct
 (uncached) search.
+
+**Leaf atlas.**  Under the default configuration a cache miss on a leaf of
+up to 7 vertices is answered from :mod:`repro.core.leaf_atlas`, the search
+precomputed for every such graph: the stored order is replayed with one
+reduction pass instead of searched.  ``subgraph_cache=False`` always runs
+the live search.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from repro.core.ordering import optimize_emission_ordering
 from repro.core.packed_reduction import make_reduction_state
 from repro.core.plan_scoring import score_sequence
 from repro.core.reduction import ReductionSequence
-from repro.core.strategies import GreedyReductionStrategy, reduce_and_free
+from repro.core.strategies import GreedyReductionStrategy, greedy_reduce, reduce_and_free
 from repro.graphs.canonical_form import (
     CanonicalForm,
     CanonicalizationBudgetError,
@@ -86,6 +92,10 @@ CANONICAL_MAX_VERTICES = 12
 #: The flexible resource constraint: every leaf is compiled at its minimal
 #: emitter count ``n_e^min`` and at up to this many extra emitters.
 FLEXIBLE_EMITTER_SLACK = 2
+
+#: The search config the leaf atlas is generated under; any other config
+#: never reads the table.
+_ATLAS_FINGERPRINT = config_fingerprint(CompilerConfig())
 
 
 @dataclass
@@ -204,13 +214,15 @@ class LeafSearchStats:
     ``orders_scored`` counts complete orders handed to
     :func:`~repro.core.plan_scoring.score_sequence`, and ``subtrees_pruned``
     the prefixes cut by the emitter-emitter gate bound.  A compile-cache hit
-    runs no search and adds nothing.
+    runs no search and adds nothing; ``atlas_hits`` counts the searches
+    answered from the leaf atlas, which add nothing else either.
     """
 
     orders: int = 0
     steps: int = 0
     orders_scored: int = 0
     subtrees_pruned: int = 0
+    atlas_hits: int = 0
 
 
 class _OrderTrieWalk:
@@ -331,7 +343,10 @@ class SubgraphCompiler:
     cache : SubgraphCompileCache | None, optional
         Explicit compile cache (tests, dedicated pools).  By default the
         process-wide cache of :func:`repro.core.compile_cache.get_process_cache`
-        is used when ``config.subgraph_cache`` is enabled.
+        is used when ``config.subgraph_cache`` is enabled.  The leaf atlas
+        answers cache misses only when ``config.subgraph_cache`` is enabled
+        and the search config is the default one, so an explicit cache with
+        the switch off still searches every miss.
     """
 
     def __init__(
@@ -347,6 +362,13 @@ class SubgraphCompiler:
             self.cache = get_process_cache()
         else:
             self.cache = None
+        #: Leaf-atlas replays need somewhere to keep their entries, and
+        #: ``subgraph_cache=False`` promises the live search.
+        self._atlas_enabled = (
+            self.cache is not None
+            and self.config.subgraph_cache
+            and self._fingerprint == _ATLAS_FINGERPRINT
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -455,6 +477,43 @@ class SubgraphCompiler:
             self._derived_rng(canonical.key),
             stats,
         )
+        return self._entry(order, sequence, evaluated, search_max)
+
+    def _replay_atlas(
+        self,
+        canonical: CanonicalForm,
+        emitter_budget: int,
+        stats: LeafSearchStats | None,
+    ) -> CachedCompilation | None:
+        """The search's entry rebuilt from the leaf atlas, or ``None`` on a miss."""
+        # Imported here so that `python -m repro.core.leaf_atlas` runs the
+        # only copy of that module.
+        from repro.core.leaf_atlas import get_atlas
+
+        atlas = get_atlas()
+        if not atlas.usable(self._fingerprint):
+            return None
+        found = atlas.lookup(canonical.key, emitter_budget)
+        if found is None:
+            return None
+        order, search_max, evaluated = found
+        sequence = greedy_reduce(
+            canonical.build_graph(),
+            order,
+            GreedyReductionStrategy(emitter_budget=emitter_budget),
+        )
+        if stats is not None:
+            stats.atlas_hits += 1
+        return self._entry(order, sequence, evaluated, search_max)
+
+    def _entry(
+        self,
+        order: Sequence[int],
+        sequence: ReductionSequence,
+        evaluated: int,
+        search_max: int,
+    ) -> CachedCompilation:
+        """Package a canonical-space search result with its circuit and metrics."""
         circuit = sequence.to_circuit()
         metrics = compute_metrics(
             circuit,
@@ -541,7 +600,9 @@ class SubgraphCompiler:
         """:meth:`compile` plus the search's ``search_max_emitters``.
 
         The work of a search that runs (none on a cache hit) is added to
-        ``stats``.
+        ``stats``.  A miss in the cache tiers goes to the leaf atlas when the
+        cache is on and no seeded order is in play.  An atlas entry goes to
+        the memory tier only: on disk it would repeat what the package ships.
         """
         if subgraph.num_vertices == 0:
             raise ValueError("cannot compile an empty subgraph")
@@ -573,6 +634,10 @@ class SubgraphCompiler:
 
         key = (canonical.key, emitter_budget, canon_seed, self._fingerprint)
         entry = self.cache.get(key) if self.cache is not None else None
+        if entry is None and self._atlas_enabled and canon_seed is None:
+            entry = self._replay_atlas(canonical, emitter_budget, stats)
+            if entry is not None:
+                self.cache.put(key, entry, persist=False)
         if entry is None:
             if canon_graph is None:
                 canon_graph = canonical.build_graph()

@@ -41,6 +41,7 @@ from repro.graphs.graph_state import GraphState
 from repro.utils.misc import iter_bits
 
 __all__ = [
+    "CANONICAL_FORM_VERSION",
     "CanonicalForm",
     "CanonicalizationBudgetError",
     "canonical_form",
@@ -48,6 +49,12 @@ __all__ = [
 ]
 
 Vertex = Hashable
+
+#: Bump whenever the canonical labeling of some graph changes.  Everything
+#: stored in canonical labels outside the process (the leaf atlas of
+#: :mod:`repro.core.leaf_atlas`) records this version and is stale under
+#: another.
+CANONICAL_FORM_VERSION = 1
 
 #: Default cap on canonical-search leaves.  Leaves of the partitioner are
 #: ``g_max ≈ 7`` vertices; even pathologically symmetric 12-vertex graphs

@@ -538,7 +538,8 @@ class FleetSupervisor:
         ----------
         wait_ready : bool, optional
             Block until every worker answers ``/metrics`` (or its start
-            timeout expires).
+            timeout expires).  An HA primary renews its lease every
+            ``heartbeat_seconds`` while it waits.
         replay : bool, optional
             Re-dispatch unfinished journal entries from a previous run (in
             the background, so the front end can accept traffic while the
@@ -566,8 +567,15 @@ class FleetSupervisor:
             )
         if wait_ready:
             deadline = time.monotonic() + self.worker_start_timeout
+            next_renewal = 0.0
             for worker in self.workers:
                 while worker.state == STARTING and time.monotonic() < deadline:
+                    # The supervision thread renews leadership only once it
+                    # runs; until then a worker start slower than the lease
+                    # TTL must not hand the lease to the standby.
+                    if time.monotonic() >= next_renewal:
+                        self._renew_leadership()
+                        next_renewal = time.monotonic() + self.heartbeat_seconds
                     try:
                         worker.last_exposition = worker.heartbeat_client.metrics()
                         worker.state = HEALTHY

@@ -18,8 +18,8 @@ an exposition *validator* that CI runs against a live scrape:
 * :class:`MetricsRegistry` — owns the instruments and renders the exposition;
 * :func:`parse_exposition` — the one sample parser, behind both
   :func:`validate_exposition` (every declared family present with numeric
-  samples; ``python -m repro.service.metrics scrape.txt`` is the CI entry
-  point) and :func:`relabel_expositions`;
+  samples; ``repro validate-metrics scrape.txt`` is the CI entry point) and
+  :func:`relabel_expositions`;
 * :func:`log_event` — one structured JSON log line (request ids, worker
   lifecycle events) on stderr.
 
@@ -580,32 +580,3 @@ def log_event(event: str, *, level: str = "info", stream=None, **fields) -> None
     target = stream if stream is not None else sys.stderr
     with _LOG_LOCK:
         print(line, file=target, flush=True)
-
-
-def _main(argv: list[str]) -> int:
-    """CI entry point: validate a scraped exposition file.
-
-    ``python -m repro.service.metrics scrape.txt`` exits 0 when every
-    declared fleet and worker metric is present and numeric, 1 otherwise
-    (printing one problem per line).
-    """
-    if len(argv) != 1:
-        print("usage: python -m repro.service.metrics <scrape-file>", file=sys.stderr)
-        return 2
-    try:
-        with open(argv[0], "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"metrics: cannot read scrape file: {exc}", file=sys.stderr)
-        return 2
-    problems = validate_exposition(text)
-    if problems:
-        for problem in problems:
-            print(f"metrics: {problem}", file=sys.stderr)
-        return 1
-    print(f"metrics: ok ({len(FLEET_METRICS) + len(WORKER_METRICS)} declared families present)")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(_main(sys.argv[1:]))

@@ -95,6 +95,22 @@ class TestExecution:
         assert exit_code == 0
         assert "EMIT" in captured
 
+    def test_compile_profile_prints_stages_and_leaf_search(self, capsys):
+        exit_code = main(["compile", "--family", "lattice", "--size", "12", "--profile"])
+        captured = capsys.readouterr().out
+        assert exit_code == 0
+        stages = captured.split("stage seconds:\n", 1)[1].split("leaf search:\n", 1)[0]
+        assert [line.split(":")[0].strip() for line in stages.splitlines()] == [
+            "partition_lc", "emitter_bound", "leaf_search", "recombination_plan",
+            "global_reduction", "lc_correction", "schedule_metrics", "verify",
+        ]
+        leaf = captured.split("leaf search:\n", 1)[1]
+        for counter in ("orders", "steps", "orders_scored", "subtrees_pruned", "atlas_hits"):
+            assert f"  {counter}: " in leaf
+        assert "atlas hits " in captured
+        plain = main(["compile", "--family", "lattice", "--size", "12"])
+        assert plain == 0 and "stage seconds:" not in capsys.readouterr().out
+
     def test_figure_command(self, capsys):
         exit_code = main(["figure", "fig10b", "--sizes", "8", "10"])
         captured = capsys.readouterr().out

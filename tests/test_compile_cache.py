@@ -360,7 +360,10 @@ class TestSurfacing:
         attached = get_process_cache(disk_dir=str(tmp_path / "late-sg"))
         assert attached is cache
         assert cache.disk_enabled
-        compile_graph(lattice_graph(3, 4))  # new leaves write through
+        # New leaves write through.  A non-default search config, because the
+        # default one answers these leaves from the leaf atlas, which stays
+        # in the memory tier.
+        compile_graph(lattice_graph(3, 4), small_config())
         assert any((tmp_path / "late-sg").glob("sg-*.json"))
 
     def test_cache_hit_results_do_not_alias_the_cached_circuit(self):

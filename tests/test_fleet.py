@@ -40,7 +40,8 @@ from repro.service.metrics import (
     validate_exposition,
 )
 from repro.service.server import CompileService
-from repro.service.metrics import _main as metrics_main
+from repro.cli import EXIT_VALIDATE_METRICS
+from repro.cli import main as cli_main
 
 # --------------------------------------------------------------------------- #
 # Rendezvous routing (fast)
@@ -275,11 +276,12 @@ class TestMetrics:
     def test_cli_gate_exit_codes(self, tmp_path):
         good = tmp_path / "good.txt"
         good.write_text(_full_exposition(), encoding="utf-8")
-        assert metrics_main([str(good)]) == 0
+        assert cli_main(["validate-metrics", str(good)]) == 0
         bad = tmp_path / "bad.txt"
         bad.write_text("nope 1\n", encoding="utf-8")
-        assert metrics_main([str(bad)]) == 1
-        assert metrics_main([str(tmp_path / "absent.txt")]) == 2
+        assert cli_main(["validate-metrics", str(bad)]) == EXIT_VALIDATE_METRICS
+        absent = str(tmp_path / "absent.txt")
+        assert cli_main(["validate-metrics", absent]) == EXIT_VALIDATE_METRICS
 
 
 # --------------------------------------------------------------------------- #

@@ -21,11 +21,42 @@ from repro.service.fleet import (
     HEALTHY,
     FleetServer,
     FleetSupervisor,
+    WorkerProcess,
     free_port,
 )
 from repro.service.ha import StandbyCoordinator
 from repro.service.replication import Lease, ReplicationFencedError, ReplicationLink
 from repro.service.server import CompileService
+
+
+@pytest.fixture(autouse=True)
+def reap_worker_processes(monkeypatch):
+    """Stop every fleet a test started and kill its ``repro serve`` workers.
+
+    Runs even when the test fails before its own clean-up: a supervisor
+    left running would respawn the workers it loses.
+    """
+    supervisors, processes = [], []
+    start, spawn = FleetSupervisor.start, WorkerProcess.spawn
+
+    def tracked_start(self, *args, **kwargs):
+        supervisors.append(self)
+        start(self, *args, **kwargs)
+
+    def tracked_spawn(self):
+        spawn(self)
+        processes.append(self.process)
+
+    monkeypatch.setattr(FleetSupervisor, "start", tracked_start)
+    monkeypatch.setattr(WorkerProcess, "spawn", tracked_spawn)
+    yield
+    for supervisor in supervisors:
+        if not supervisor._stop.is_set():
+            supervisor.stop(grace_seconds=2.0)
+    for process in processes:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10.0)
 
 
 # --------------------------------------------------------------------- #

@@ -204,7 +204,9 @@ def test_leaf_search_stats_repeat_and_stay_out_of_summary():
 
 def test_cache_hits_add_no_leaf_search_work():
     graph = GraphSpec(family="erdos", size=21, seed=4).build()
-    config = CompilerConfig()
+    # subgraph_cache=False keeps the leaf atlas out, so the first compile
+    # searches; the explicit cache still memoizes it.
+    config = CompilerConfig(subgraph_cache=False)
     cold = SubgraphCompiler(config, cache=SubgraphCompileCache())
     block = graph.induced_subgraph(graph.vertices()[:6])
     searched = LeafSearchStats()
